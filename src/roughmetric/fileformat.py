@@ -60,7 +60,10 @@ def parse_real(value, where: str = "value") -> float:
                 "(expected a number, sqrt(x), or a single division of those)"
             )
         sign, num, den = m.groups()
-        out = _eval_term(num) / (_eval_term(den) if den else 1.0)
+        divisor = _eval_term(den) if den else 1.0
+        if divisor == 0.0:
+            raise LoadError(f"{where}: division by zero in {value!r}")
+        out = _eval_term(num) / divisor
         return -out if sign else out
     raise LoadError(f"{where}: expected a real number, got {type(value).__name__}")
 

@@ -45,6 +45,10 @@ def _read_tolerance() -> float:
 #: Equalities (zero diagonal, symmetry) are always exact.
 TOLERANCE = _read_tolerance()
 
+#: Target element count of one block of the (d3) scan. A block holds whole x
+#: rows (n^2 triples each), so the scan's buffers take O(n^2) memory.
+_D3_BLOCK = 1 << 14
+
 
 def leq(a: float, b: float) -> bool:
     """Tolerant ``a <= b``."""
@@ -126,8 +130,8 @@ class SpaceSpec:
             raise ShapeError(f"dist must be {n}x{n}, got {dist.shape}")
         if alpha.shape != (n, n):
             raise ShapeError(f"alpha must be {n}x{n}, got {alpha.shape}")
-        if np.isnan(dist).any() or (dist < 0).any():
-            raise ShapeError("dist entries must be non-negative reals")
+        if not np.isfinite(dist).all() or (dist < 0).any():
+            raise ShapeError("dist entries must be finite non-negative reals")
         if not np.isfinite(alpha).all():
             raise ShapeError("alpha entries must be finite")
         dist.setflags(write=False)
@@ -155,9 +159,11 @@ def validate_axioms(spec: SpaceSpec) -> ValidationResult:
 
     All ordered triples are scanned, including the degenerate ones with
     z in {x, y} (they hold automatically when alpha >= 1, but scanning them
-    catches table corruption). Returns all violations found, each as a
-    witness carrying the axiom id, the offending points, and both sides of
-    the failed (in)equality.
+    catches table corruption). The (d3) scan runs over blocks of x rows in
+    reused buffers, so it needs O(n^2) memory, not O(n^3). Returns all
+    violations found, each as a witness carrying the axiom id, the offending
+    points, and both sides of the failed (in)equality; (d3) witnesses come in
+    lexicographic (x, y, z) order.
     """
     d, a, pts = spec.dist, spec.alpha, spec.points
     n = spec.n
@@ -183,12 +189,24 @@ def validate_axioms(spec: SpaceSpec) -> ValidationResult:
 
     # (d3) over all ordered triples: d[x,y] <= m[x,z] + m[z,y], m = alpha*dist
     m = a * d
-    rhs = m[:, None, :] + m.T[None, :, :]  # rhs[x, y, z]
-    bad = d[:, :, None] > rhs + TOLERANCE
-    for x, y, z in np.argwhere(bad):
-        violations.append(
-            Violation("d3", (pts[x], pts[y], pts[z]), float(d[x, y]), float(rhs[x, y, z]))
-        )
+    mt = np.ascontiguousarray(m.T)
+    rows = min(n, max(1, _D3_BLOCK // (n * n)))
+    rhs_buf = np.empty((rows, n, n))
+    bound_buf = np.empty_like(rhs_buf)
+    bad_buf = np.empty(rhs_buf.shape, dtype=bool)
+    for x0 in range(0, n, rows):
+        k = min(rows, n - x0)
+        rhs, bound, bad = rhs_buf[:k], bound_buf[:k], bad_buf[:k]
+        np.add(m[x0 : x0 + k, None, :], mt[None, :, :], out=rhs)  # rhs[x - x0, y, z]
+        np.add(rhs, TOLERANCE, out=bound)
+        np.greater(d[x0 : x0 + k, :, None], bound, out=bad)
+        if not bad.any():
+            continue
+        for i, y, z in np.argwhere(bad):
+            x = x0 + i
+            violations.append(
+                Violation("d3", (pts[x], pts[y], pts[z]), float(d[x, y]), float(rhs[i, y, z]))
+            )
 
     return ValidationResult(tuple(violations))
 
@@ -208,7 +226,7 @@ class ControlledSpace:
 
     def __post_init__(self):
         index = {p: i for i, p in enumerate(self.spec.points)}
-        rows = tuple(tuple(float(v) for v in row) for row in self.spec.dist)
+        rows = tuple(map(tuple, self.spec.dist.tolist()))
         object.__setattr__(self, "_index", index)
         object.__setattr__(self, "_rows", rows)
         object.__setattr__(self, "_point_set", frozenset(self.spec.points))

@@ -30,10 +30,22 @@ def axiom_violations_bruteforce(spec) -> set:
                 out.add(("d2", pts[i], pts[j]))
             if float(a[i, j]) < 1.0 - TOLERANCE:
                 out.add(("alpha", pts[i], pts[j]))
+    out.update(("d3", *points) for points, _, _ in d3_witnesses_bruteforce(spec))
+    return out
+
+
+def d3_witnesses_bruteforce(spec) -> list:
+    """(d3) witnesses as (points, lhs, rhs), in lexicographic (x, y, z) order."""
+    d, a, pts = spec.dist, spec.alpha, spec.points
+    n = len(pts)
+    out = []
+    for x in range(n):
+        for y in range(n):
+            lhs = float(d[x, y])
             for z in range(n):
-                rhs = float(a[i, z]) * float(d[i, z]) + float(a[z, j]) * float(d[z, j])
-                if dij > rhs + TOLERANCE:
-                    out.add(("d3", pts[i], pts[j], pts[z]))
+                rhs = float(a[x, z]) * float(d[x, z]) + float(a[z, y]) * float(d[z, y])
+                if lhs > rhs + TOLERANCE:
+                    out.append(((pts[x], pts[y], pts[z]), lhs, rhs))
     return out
 
 

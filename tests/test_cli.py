@@ -64,6 +64,29 @@ def test_validate_shape_error_is_usage_error(tmp_path):
     assert "alpha" in result.output
 
 
+def write_doc(tmp_path, entry):
+    doc = tmp_path / "p0.space"
+    doc.write_text(f"points: [1, 2]\ndist:\n- [0, {entry}]\n- [{entry}, 0]\n"
+                   "alpha:\n- [1, 1]\n- [1, 1]\n")
+    return str(doc)
+
+
+def test_validate_division_by_zero_is_usage_error(tmp_path):
+    for entry in ('"1/0"', '"1/sqrt(0)"', '"0/0"'):
+        result = run("validate", write_doc(tmp_path, entry))
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)  # no traceback escaped
+        assert "dist[0][1]: division by zero" in result.output
+
+
+def test_theorems_rejects_overflowing_distance(tmp_path):
+    result = run("theorems", write_doc(tmp_path, "1e400"), "--seq", "1,2")
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)  # no traceback escaped
+    assert "non-negative reals" in result.output
+    assert "[FAIL]" not in result.output
+
+
 # --- analyze ---
 
 def test_analyze_golden_text():

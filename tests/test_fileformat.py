@@ -44,7 +44,8 @@ def test_parse_real_values():
 
 
 def test_parse_real_rejects_junk():
-    for bad in ("", "banana", "sqrt(-1)", "1/2/3", "2**3", True, [1], None):
+    for bad in ("", "banana", "sqrt(-1)", "1/2/3", "2**3", True, [1], None,
+                "1/0", "1/sqrt(0)", "0/0"):
         with pytest.raises(LoadError):
             parse_real(bad)
 
@@ -57,6 +58,13 @@ def test_load_space_with_expressions():
     assert spec.dist[0, 1] == 1 / math.sqrt(2)
     assert spec.alpha[1, 0] == math.sqrt(2)
     assert validate_axioms(spec).valid
+
+
+@pytest.mark.parametrize("entry", ["1/0", "1/sqrt(0)", "0/0"])
+def test_load_division_by_zero_names_the_entry(entry):
+    doc = f'points: [a, b]\ndist:\n- [0, 1]\n- ["{entry}", 0]\nalpha:\n- [1, 1]\n- [1, 1]\n'
+    with pytest.raises(LoadError, match=r"dist\[1\]\[0\]: division by zero"):
+        load_space(doc)
 
 
 def test_load_asymmetric_then_build_reports_d2():

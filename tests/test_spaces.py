@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,9 +16,10 @@ from roughmetric import (
     restrict,
     validate_axioms,
 )
+from roughmetric import spaces
 from roughmetric.spaces import TOLERANCE_ENV_VAR, _read_tolerance
 
-from oracles import axiom_violations_bruteforce
+from oracles import axiom_violations_bruteforce, d3_witnesses_bruteforce
 
 SQRT2 = math.sqrt(2)
 
@@ -126,6 +128,48 @@ def test_validator_agrees_with_bruteforce_on_garbage(seed):
     assert got == axiom_violations_bruteforce(spec)
 
 
+def adversarial_garbage(rng, n):
+    """Random tables with zeros, huge distances and zero or huge negative controls.
+
+    The controls make alpha*dist overflow to +-inf, so some (d3) sums are NaN.
+    """
+    dist = rng.uniform(0, 2, (n, n)) * (rng.random((n, n)) < 0.8)
+    dist[rng.random((n, n)) < 0.05] = 1e300
+    alpha = rng.uniform(0.5, 3, (n, n))
+    alpha[rng.random((n, n)) < 0.05] = 0.0
+    alpha[rng.random((n, n)) < 0.05] = -1e300
+    return SpaceSpec(points=tuple(range(n)), dist=dist, alpha=alpha)
+
+
+@pytest.mark.parametrize("block", [1, 7, 500, spaces._D3_BLOCK])
+def test_d3_blocked_scan_matches_bruteforce_witnesses(monkeypatch, block):
+    # n = 47 leaves a partial last block at the default size (7 rows of 47^2)
+    monkeypatch.setattr(spaces, "_D3_BLOCK", block)
+    rng = np.random.default_rng(2024)
+    specs = [adversarial_garbage(rng, n) for n in range(1, 13) for _ in range(3)]
+    specs.append(adversarial_garbage(rng, 47))
+    # d(0, 1) against 2 = d(0, 2) + d(2, 1): inside, on and outside the tolerance
+    for over in (5e-10, spaces.TOLERANCE, 2e-9):
+        dist = [[0, 2 + over, 1], [2 + over, 0, 1], [1, 1, 0]]
+        specs.append(SpaceSpec((0, 1, 2), dist, np.ones((3, 3))))
+    for spec in specs:
+        with np.errstate(over="ignore", invalid="ignore"):
+            violations = validate_axioms(spec).violations
+        got = [(v.points, v.lhs, v.rhs) for v in violations if v.axiom == "d3"]
+        assert got == d3_witnesses_bruteforce(spec)
+
+
+def test_d3_scan_memory_is_quadratic():
+    spec = paper_example_spec(200)
+    tracemalloc.start()
+    try:
+        assert validate_axioms(spec).valid
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20  # a full n^3 float tensor alone is 61 MB
+
+
 def test_validator_agrees_with_bruteforce_on_paper_example():
     spec = paper_example_spec(8)
     assert axiom_violations_bruteforce(spec) == set()
@@ -145,6 +189,8 @@ def test_spec_rejects_bad_structure():
         SpaceSpec(("a", "b"), [[0, 1], [1]], np.ones((2, 2)))
     with pytest.raises(ShapeError):
         SpaceSpec(("a", "b"), [[0, -1], [-1, 0]], np.ones((2, 2)))
+    with pytest.raises(ShapeError, match="non-negative reals"):
+        SpaceSpec(("a", "b"), [[0, math.inf], [math.inf, 0]], np.ones((2, 2)))
     with pytest.raises(ShapeError):
         SpaceSpec(("a", "b"), np.zeros((2, 2)), [[1, math.inf], [1, 1]])
 
