@@ -11,6 +11,7 @@ overridden through the ROUGHMETRIC_TOL environment variable.
 
 from __future__ import annotations
 
+import math
 import re
 from pathlib import Path
 
@@ -87,6 +88,8 @@ def _r_values(text: str) -> list[float]:
             val = parse_real(tok, where="r")
         except LoadError as exc:
             raise click.UsageError(str(exc))
+        if not math.isfinite(val):
+            raise click.UsageError(f"r must be finite, got {tok}")
         if val < 0:
             raise click.UsageError(f"r must be >= 0, got {tok}")
         out.append(val)

@@ -35,8 +35,7 @@ class RoughLimitSet:
 def _limsup_vector(seq: EpSequence, space: ControlledSpace) -> np.ndarray:
     """limsup distances from the sequence to every point, in point order."""
     _require_points(seq, space)
-    rows = sorted({space.index(v) for v in seq.tail_set})
-    return space.dist[rows].max(axis=0)
+    return space.row_max(seq.tail_set)
 
 
 def is_rough_limit(seq: EpSequence, space: ControlledSpace, x, r: float) -> bool:
@@ -92,10 +91,7 @@ def derived_set(space: ControlledSpace, subset: Iterable) -> frozenset:
     distinct points keep a positive distance; the computation is kept general
     so pseudo-metric-like tables would still be handled.
     """
-    members = space.ordered(subset)
-    out = []
-    for y in space.points:
-        dists = [space.distance(y, s) for s in members if s != y]
-        if dists and min(dists) <= spaces.TOLERANCE:
-            out.append(y)
-    return frozenset(out)
+    idx = [space.index(p) for p in set(subset)]
+    near = space.dist[:, idx] <= spaces.TOLERANCE  # near[y, k]: d(y, member k) ~ 0
+    near[idx, range(len(idx))] = False  # a member is not its own neighbour
+    return frozenset(space.points[i] for i in np.flatnonzero(near.any(axis=1)))

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
-from .spaces import ControlledSpace, pairwise_max_distance
+from .spaces import ControlledSpace, diameter
 
 
 @dataclass(frozen=True)
@@ -78,10 +78,7 @@ def limsup_distance(seq: EpSequence, space: ControlledSpace, x) -> float:
     approached infinitely often.
     """
     _require_points(seq, space)
-    rows = space._rows
-    index = space._index
-    j = space.index(x)
-    return max(rows[index[v]][j] for v in seq.tail_set)
+    return space.row_max(seq.tail_set).item(space.index(x))
 
 
 def is_convergent(seq: EpSequence, space: ControlledSpace) -> Optional[object]:
@@ -106,11 +103,11 @@ def is_cauchy(seq: EpSequence, space: ControlledSpace) -> bool:
 def boundedness(seq: EpSequence, space: ControlledSpace) -> BoundednessReport:
     """A strict bound over all pairs of terms.
 
-    Always bounded here (finitely many values); the bound is the max pairwise
-    distance among occurring values plus 1, keeping the inequality strict.
+    Always bounded here (finitely many values); the bound is the diameter of
+    the set of occurring values plus 1, keeping the inequality strict.
     """
     _require_points(seq, space)
-    return BoundednessReport(bounded=True, bound=pairwise_max_distance(space, seq.value_set) + 1.0)
+    return BoundednessReport(bounded=True, bound=diameter(space, seq.value_set) + 1.0)
 
 
 def arithmetic_subsequence(seq: EpSequence, offset: int, stride: int) -> EpSequence:

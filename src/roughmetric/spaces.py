@@ -16,8 +16,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field
-from itertools import combinations
-from typing import Hashable, Iterable, Sequence
+from typing import Hashable, Iterable
 
 import numpy as np
 
@@ -187,26 +186,28 @@ def validate_axioms(spec: SpaceSpec) -> ValidationResult:
     for i, j in np.argwhere(a < 1.0 - TOLERANCE):
         violations.append(Violation("alpha", (pts[i], pts[j]), float(a[i, j]), 1.0))
 
-    # (d3) over all ordered triples: d[x,y] <= m[x,z] + m[z,y], m = alpha*dist
-    m = a * d
-    mt = np.ascontiguousarray(m.T)
-    rows = min(n, max(1, _D3_BLOCK // (n * n)))
-    rhs_buf = np.empty((rows, n, n))
-    bound_buf = np.empty_like(rhs_buf)
-    bad_buf = np.empty(rhs_buf.shape, dtype=bool)
-    for x0 in range(0, n, rows):
-        k = min(rows, n - x0)
-        rhs, bound, bad = rhs_buf[:k], bound_buf[:k], bad_buf[:k]
-        np.add(m[x0 : x0 + k, None, :], mt[None, :, :], out=rhs)  # rhs[x - x0, y, z]
-        np.add(rhs, TOLERANCE, out=bound)
-        np.greater(d[x0 : x0 + k, :, None], bound, out=bad)
-        if not bad.any():
-            continue
-        for i, y, z in np.argwhere(bad):
-            x = x0 + i
-            violations.append(
-                Violation("d3", (pts[x], pts[y], pts[z]), float(d[x, y]), float(rhs[i, y, z]))
-            )
+    # (d3) over all ordered triples: d[x,y] <= m[x,z] + m[z,y], m = alpha*dist.
+    # Huge alpha*d may overflow (inf, or nan from inf - inf): compared as is, silently.
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = a * d
+        mt = np.ascontiguousarray(m.T)
+        rows = min(n, max(1, _D3_BLOCK // (n * n)))
+        rhs_buf = np.empty((rows, n, n))
+        bound_buf = np.empty_like(rhs_buf)
+        bad_buf = np.empty(rhs_buf.shape, dtype=bool)
+        for x0 in range(0, n, rows):
+            k = min(rows, n - x0)
+            rhs, bound, bad = rhs_buf[:k], bound_buf[:k], bad_buf[:k]
+            np.add(m[x0 : x0 + k, None, :], mt[None, :, :], out=rhs)  # rhs[x - x0, y, z]
+            np.add(rhs, TOLERANCE, out=bound)
+            np.greater(d[x0 : x0 + k, :, None], bound, out=bad)
+            if not bad.any():
+                continue
+            for i, y, z in np.argwhere(bad):
+                x = x0 + i
+                violations.append(
+                    Violation("d3", (pts[x], pts[y], pts[z]), float(d[x, y]), float(rhs[i, y, z]))
+                )
 
     return ValidationResult(tuple(violations))
 
@@ -226,10 +227,9 @@ class ControlledSpace:
 
     def __post_init__(self):
         index = {p: i for i, p in enumerate(self.spec.points)}
-        rows = tuple(map(tuple, self.spec.dist.tolist()))
         object.__setattr__(self, "_index", index)
-        object.__setattr__(self, "_rows", rows)
         object.__setattr__(self, "_point_set", frozenset(self.spec.points))
+        object.__setattr__(self, "_row_max", {})
 
     @property
     def points(self) -> tuple:
@@ -260,7 +260,18 @@ class ControlledSpace:
             raise ValueError(f"unknown point {point!r}") from None
 
     def distance(self, x, y) -> float:
-        return self._rows[self.index(x)][self.index(y)]
+        return self.spec.dist.item(self.index(x), self.index(y))
+
+    def row_max(self, values: frozenset) -> np.ndarray:
+        """Max of d(v, x) over v in nonempty ``values``, for each x in point order.
+
+        Computed once per value set and cached on the space; the array is read-only."""
+        out = self._row_max.get(values)
+        if out is None:
+            out = self.spec.dist[[self.index(v) for v in values]].max(axis=0)
+            out.setflags(write=False)
+            self._row_max[values] = out
+        return out
 
     def control(self, x, y) -> float:
         return float(self.spec.alpha[self.index(x), self.index(y)])
@@ -366,10 +377,3 @@ def restrict(space: ControlledSpace, subset: Iterable) -> ControlledSpace:
     )
     return build_space(spec)
 
-
-def pairwise_max_distance(space: ControlledSpace, values: Sequence) -> float:
-    """Max distance over unordered pairs of ``values`` (0 if fewer than 2)."""
-    distinct = space.ordered(values)
-    if len(distinct) <= 1:
-        return 0.0
-    return max(space.distance(x, y) for x, y in combinations(distinct, 2))

@@ -343,8 +343,8 @@ class FuzzConfig:
             raise ValueError("max_points, max_cycle and max_prefix must be >= 1")
         if self.r_grid is not None:
             grid = tuple(float(r) for r in self.r_grid)
-            if any(r < 0 for r in grid):
-                raise ValueError("r_grid values must be >= 0")
+            if not all(math.isfinite(r) and r >= 0 for r in grid):
+                raise ValueError("r_grid values must be finite and >= 0")
             object.__setattr__(self, "r_grid", grid)
 
 

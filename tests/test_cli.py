@@ -1,8 +1,14 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import pytest
 import yaml
 from click.testing import CliRunner
 
+import roughmetric
 from roughmetric import load_space, paper_example_spec
 from roughmetric.cli import main
 
@@ -85,6 +91,36 @@ def test_theorems_rejects_overflowing_distance(tmp_path):
     assert isinstance(result.exception, SystemExit)  # no traceback escaped
     assert "non-negative reals" in result.output
     assert "[FAIL]" not in result.output
+
+
+def test_validate_overflowing_control_product_prints_no_warning(tmp_path):
+    # alpha * d = 1e310 overflows to inf inside the (d3) scan; the space is
+    # still valid and nothing may reach stderr. Run as a real process so the
+    # interpreter's default warning filters apply.
+    doc = tmp_path / "huge.space"
+    doc.write_text("points: [1, 2]\ndist:\n- [0, 1e300]\n- [1e300, 0]\n"
+                   "alpha:\n- [1, 1e10]\n- [1e10, 1]\n")
+    src = str(Path(roughmetric.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    env.pop("PYTHONWARNINGS", None)
+    proc = subprocess.run([sys.executable, "-m", "roughmetric.cli", "validate", str(doc)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0
+    assert proc.stdout == "valid controlled metric type space (2 points)\n"
+    assert proc.stderr == ""
+
+
+@pytest.mark.parametrize("args", [
+    ("analyze", "paper-example:4", "--seq", "1,2", "--r", "1e400"),
+    ("limset", "paper-example:4", "--seq", "1,2", "--r", "1e400"),
+    ("theorems", "paper-example:4", "--seq", "1,2", "--r-grid", "0,1e400"),
+    ("fuzz", "--trials", "2", "--r-grid", "1e400"),
+])
+def test_non_finite_degree_is_usage_error(args):
+    result = run(*args)
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)  # no traceback escaped
+    assert "r must be finite, got 1e400" in result.output
 
 
 # --- analyze ---

@@ -20,6 +20,7 @@ from roughmetric import (
     rough_limit_set,
     tail_values,
 )
+from roughmetric import spaces
 from roughmetric.theorems import random_sequence, random_space
 
 from oracles import cluster_points_direct, rough_limit_direct
@@ -208,3 +209,65 @@ def test_derived_set_detects_zero_distance_pairs():
     assert derived_set(space, {"a", "c"}) == {"b"}
     assert derived_set(space, {"a"}) == {"b"}
     assert derived_set(space, {"c"}) == set()
+
+
+# --- one cached limsup vector per tail set ---
+
+def _limsup_spaces():
+    rng = np.random.default_rng(515)
+    return [build_space(paper_example_spec(7))] + [random_space(rng, 9) for _ in range(6)]
+
+
+def _sequences_sharing_tails(space, rng):
+    """Random sequences, each followed by a reordered copy of its cycle behind a
+    different prefix, so both hit the same cached tail set."""
+    pts = space.points
+    for _ in range(8):
+        seq = random_sequence(rng, pts, 3, 4)
+        yield seq
+        cycle = tuple(rng.permutation(np.array(seq.cycle, dtype=object)))
+        prefix = tuple(pts[i] for i in rng.integers(0, len(pts), size=int(rng.integers(0, 4))))
+        yield EpSequence(prefix=prefix, cycle=cycle + cycle[:1])
+
+
+def test_limsup_queries_read_the_max_over_cycle_rows():
+    rng = np.random.default_rng(9)
+    for space in _limsup_spaces():
+        for seq in _sequences_sharing_tails(space, rng):
+            expected = np.max([space.dist[space.index(v)] for v in seq.cycle], axis=0)
+            limsups = [limsup_distance(seq, space, x) for x in space.points]
+            assert all(type(v) is float for v in limsups)
+            assert limsups == expected.tolist()
+            for r in sorted(set(expected.tolist()) | {0.0, expected.mean()}):
+                inside = expected <= r + spaces.TOLERANCE
+                assert [is_rough_limit(seq, space, x, r) for x in space.points] == inside.tolist()
+                members = {p for p, hit in zip(space.points, inside) if hit}
+                assert rough_limit_set(seq, space, r).members == members
+            crit = critical_roughness(seq, space)
+            assert crit.value == expected.min()
+            assert crit.minimizers == tuple(
+                p for p, v in zip(space.points, expected) if v == expected.min())
+
+
+def test_unknown_prefix_point_raises_after_tail_set_is_cached(paper4):
+    assert limsup_distance(EpSequence(cycle=(2, 3)), paper4, 1) == 1.0
+    bad = EpSequence(prefix=(99,), cycle=(3, 2))
+    queries = (
+        lambda: limsup_distance(bad, paper4, 1),
+        lambda: is_rough_limit(bad, paper4, 1, 1.0),
+        lambda: rough_limit_set(bad, paper4, 1.0),
+        lambda: critical_roughness(bad, paper4),
+    )
+    for query in queries:
+        with pytest.raises(ValueError, match="not in the space"):
+            query()
+
+
+def test_row_max_is_cached_and_read_only(paper4):
+    vec = paper4.row_max(frozenset({2, 3}))
+    assert paper4.row_max(frozenset({3, 2})) is vec
+    assert vec.tolist() == [1.0, 1 / SQRT2, 1 / SQRT2, 1.0]
+    with pytest.raises(ValueError):
+        vec[0] = 0.0
+    with pytest.raises(ValueError):
+        paper4.row_max(frozenset({2, 99}))

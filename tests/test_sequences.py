@@ -1,5 +1,7 @@
 import math
+from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -14,6 +16,7 @@ from roughmetric import (
     paper_example_spec,
     tail_values,
 )
+from roughmetric.theorems import random_sequence, random_space
 
 from oracles import limsup_definitional_ok, scan_horizon, strict_bound_ok, unroll_terms
 
@@ -129,6 +132,16 @@ def test_boundedness_counts_prefix_values(paper4):
 @given(seq=sequences6)
 def test_bound_is_strict_over_all_pairs(seq):
     assert strict_bound_ok(seq, PAPER6, boundedness(seq, PAPER6).bound)
+
+
+def test_bound_is_max_pair_distance_plus_one():
+    rng = np.random.default_rng(31)
+    for space in [PAPER6] + [random_space(rng, 9) for _ in range(6)]:
+        for _ in range(20):
+            seq = random_sequence(rng, space.points, 3, 4)
+            pairs = combinations(space.ordered(seq.value_set), 2)
+            brute = max((space.distance(a, b) for a, b in pairs), default=0.0)
+            assert boundedness(seq, space).bound.hex() == (brute + 1.0).hex()
 
 
 # --- arithmetic subsequences ---

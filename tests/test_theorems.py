@@ -270,6 +270,9 @@ def test_fuzz_config_validation():
         FuzzConfig(max_points=0)
     with pytest.raises(ValueError):
         FuzzConfig(r_grid=(-1.0,))
+    for r in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite"):
+            FuzzConfig(r_grid=(1.0, r))
 
 
 def test_fuzz_small_run_is_clean_and_counts_add_up():
