@@ -92,7 +92,7 @@ def _r_values(text: str) -> list[float]:
             raise click.UsageError(f"r must be finite, got {tok}")
         if val < 0:
             raise click.UsageError(f"r must be >= 0, got {tok}")
-        out.append(val)
+        out.append(abs(val))  # -0 becomes 0
     if not out:
         raise click.UsageError("no r values given")
     return out

@@ -54,11 +54,6 @@ def leq(a: float, b: float) -> bool:
     return a <= b + TOLERANCE
 
 
-def lt(a: float, b: float) -> bool:
-    """Tolerant strict ``a < b`` (the dual of :func:`leq`)."""
-    return a < b - TOLERANCE
-
-
 class ShapeError(ValueError):
     """Malformed tables: wrong shape, bad entries, bad point list.
 
@@ -153,13 +148,38 @@ class SpaceSpec:
         return len(self.points)
 
 
+def _d3_live_rows(d: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """Ascending indices of the rows x that may hold a (d3) witness.
+
+    ``floor[x, y]`` is a lower bound, in O(n^2), on every right-hand side
+    ``m[x, z] + m[z, y]`` (``m = alpha * dist``) that the scan compares against
+    ``d[x, y]``. For z outside {x, y} the sum is at least ``low[x] + high[y]``,
+    the row and column minima off the diagonal, and rounded addition is
+    monotone, so a row with ``d[x, y] <= floor[x, y] + TOLERANCE`` for every y
+    holds no witness. The sums with z in {x, y} enter the floor as the very
+    floats the scan computes. ``low + high`` is nan only when one side is
+    +inf; every sum with z outside {x, y} is then +inf or nan, so ``fmin``
+    drops it and keeps the degenerate terms.
+    """
+    off = m.copy()
+    np.fill_diagonal(off, np.inf)
+    floor = off.min(axis=1)[:, None] + off.min(axis=0)
+    # once the minima are taken, off holds the sums through z = x, then z = y
+    diag = np.diagonal(m)
+    np.fmin(floor, np.add(diag[:, None], m, out=off), out=floor)
+    np.fmin(floor, np.add(m, diag, out=off), out=floor)
+    np.add(floor, TOLERANCE, out=floor)
+    return np.flatnonzero((d > floor).any(axis=1))
+
+
 def validate_axioms(spec: SpaceSpec) -> ValidationResult:
     """Check every axiom exhaustively; n^3 triple evaluations for (d3).
 
     All ordered triples are scanned, including the degenerate ones with
     z in {x, y} (they hold automatically when alpha >= 1, but scanning them
     catches table corruption). The (d3) scan runs over blocks of x rows in
-    reused buffers, so it needs O(n^2) memory, not O(n^3). Returns all
+    reused buffers, so it needs O(n^2) memory, not O(n^3); it skips the rows
+    that an O(n^2) lower bound on the right-hand side proves clean. Returns all
     violations found, each as a witness carrying the axiom id, the offending
     points, and both sides of the failed (in)equality; (d3) witnesses come in
     lexicographic (x, y, z) order.
@@ -171,40 +191,52 @@ def validate_axioms(spec: SpaceSpec) -> ValidationResult:
     violations: list[Violation] = []
 
     # (d1) exact: zero diagonal, positive off-diagonal
-    for i in np.flatnonzero(np.diagonal(d) != 0.0):
-        violations.append(Violation("d1", (pts[i], pts[i]), float(d[i, i]), 0.0))
-    off_zero = (d == 0.0) & ~np.eye(n, dtype=bool)
-    for i, j in np.argwhere(off_zero):
-        violations.append(Violation("d1", (pts[i], pts[j]), 0.0, 0.0))
+    diag_bad = np.diagonal(d) != 0.0
+    if diag_bad.any():
+        for i in np.flatnonzero(diag_bad):
+            violations.append(Violation("d1", (pts[i], pts[i]), float(d[i, i]), 0.0))
+    off_zero = d == 0.0
+    np.fill_diagonal(off_zero, False)
+    if off_zero.any():
+        for i, j in np.argwhere(off_zero):
+            violations.append(Violation("d1", (pts[i], pts[j]), 0.0, 0.0))
 
     # (d2) exact symmetry
     asym = d != d.T
-    for i, j in np.argwhere(np.triu(asym, 1)):
-        violations.append(Violation("d2", (pts[i], pts[j]), float(d[i, j]), float(d[j, i])))
+    if asym.any():
+        for i, j in np.argwhere(np.triu(asym, 1)):
+            violations.append(Violation("d2", (pts[i], pts[j]), float(d[i, j]), float(d[j, i])))
 
     # alpha >= 1 (tolerant boundary)
-    for i, j in np.argwhere(a < 1.0 - TOLERANCE):
-        violations.append(Violation("alpha", (pts[i], pts[j]), float(a[i, j]), 1.0))
+    low_alpha = a < 1.0 - TOLERANCE
+    if low_alpha.any():
+        for i, j in np.argwhere(low_alpha):
+            violations.append(Violation("alpha", (pts[i], pts[j]), float(a[i, j]), 1.0))
 
     # (d3) over all ordered triples: d[x,y] <= m[x,z] + m[z,y], m = alpha*dist.
     # Huge alpha*d may overflow (inf, or nan from inf - inf): compared as is, silently.
+    # Only the rows that _d3_live_rows cannot prove clean are scanned.
     with np.errstate(over="ignore", invalid="ignore"):
         m = a * d
+        live = _d3_live_rows(d, m)
         mt = np.ascontiguousarray(m.T)
-        rows = min(n, max(1, _D3_BLOCK // (n * n)))
+        all_live = live.size == n
+        rows = max(1, min(live.size, _D3_BLOCK // (n * n)))
         rhs_buf = np.empty((rows, n, n))
         bound_buf = np.empty_like(rhs_buf)
         bad_buf = np.empty(rhs_buf.shape, dtype=bool)
-        for x0 in range(0, n, rows):
-            k = min(rows, n - x0)
+        for s in range(0, live.size, rows):
+            xs = live[s : s + rows]
+            k = xs.size
+            sel = slice(s, s + k) if all_live else xs
             rhs, bound, bad = rhs_buf[:k], bound_buf[:k], bad_buf[:k]
-            np.add(m[x0 : x0 + k, None, :], mt[None, :, :], out=rhs)  # rhs[x - x0, y, z]
+            np.add(m[sel, None, :], mt[None, :, :], out=rhs)  # rhs[i, y, z], x = xs[i]
             np.add(rhs, TOLERANCE, out=bound)
-            np.greater(d[x0 : x0 + k, :, None], bound, out=bad)
+            np.greater(d[sel, :, None], bound, out=bad)
             if not bad.any():
                 continue
             for i, y, z in np.argwhere(bad):
-                x = x0 + i
+                x = xs[i]
                 violations.append(
                     Violation("d3", (pts[x], pts[y], pts[z]), float(d[x, y]), float(rhs[i, y, z]))
                 )
@@ -272,9 +304,6 @@ class ControlledSpace:
             out.setflags(write=False)
             self._row_max[values] = out
         return out
-
-    def control(self, x, y) -> float:
-        return float(self.spec.alpha[self.index(x), self.index(y)])
 
     def ordered(self, subset: Iterable) -> tuple:
         """Subset as a tuple in this space's canonical point order."""

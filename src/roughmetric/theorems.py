@@ -345,7 +345,7 @@ class FuzzConfig:
             grid = tuple(float(r) for r in self.r_grid)
             if not all(math.isfinite(r) and r >= 0 for r in grid):
                 raise ValueError("r_grid values must be finite and >= 0")
-            object.__setattr__(self, "r_grid", grid)
+            object.__setattr__(self, "r_grid", tuple(abs(r) for r in grid))  # -0.0 becomes 0.0
 
 
 def random_space(rng: np.random.Generator, max_points: int) -> ControlledSpace:

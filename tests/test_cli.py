@@ -123,6 +123,14 @@ def test_non_finite_degree_is_usage_error(args):
     assert "r must be finite, got 1e400" in result.output
 
 
+@pytest.mark.parametrize("cmd", ["analyze", "limset"])
+def test_negative_zero_degree_is_zero(cmd):
+    result = run(cmd, "paper-example:4", "--seq", "1,2", "--r", "-0")
+    assert result.exit_code == 0
+    assert "rough limit set (r = 0): {}" in result.output
+    assert "r = -0" not in result.output
+
+
 # --- analyze ---
 
 def test_analyze_golden_text():

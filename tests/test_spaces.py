@@ -19,6 +19,7 @@ from roughmetric import (
 from roughmetric import spaces
 from roughmetric.spaces import TOLERANCE_ENV_VAR, _read_tolerance
 
+import oracles
 from oracles import axiom_violations_bruteforce, d3_witnesses_bruteforce
 
 SQRT2 = math.sqrt(2)
@@ -168,6 +169,101 @@ def test_d3_scan_memory_is_quadratic():
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2**20  # a full n^3 float tensor alone is 61 MB
+
+
+@pytest.fixture(params=[1, 7, 500, spaces._D3_BLOCK])
+def d3_block(request, monkeypatch):
+    monkeypatch.setattr(spaces, "_D3_BLOCK", request.param)
+
+
+def d3_matches_bruteforce(spec) -> list:
+    """The library's (d3) witnesses, after checking them against the oracle."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        violations = validate_axioms(spec).violations
+    got = [(v.points, v.lhs, v.rhs) for v in violations if v.axiom == "d3"]
+    assert got == d3_witnesses_bruteforce(spec)
+    return got
+
+
+def live_rows(spec) -> list:
+    with np.errstate(over="ignore", invalid="ignore"):
+        return spaces._d3_live_rows(spec.dist, spec.alpha * spec.dist).tolist()
+
+
+def with_entries(spec, dist=(), alpha=()):
+    """``spec`` with the given ((i, j), value) entries of dist and alpha replaced."""
+    d, a = spec.dist.copy(), spec.alpha.copy()
+    for (i, j), v in dist:
+        d[i, j] = v
+    for (i, j), v in alpha:
+        a[i, j] = v
+    return SpaceSpec(spec.points, d, a)
+
+
+def test_d3_screen_scans_only_the_live_row(d3_block):
+    paper = paper_example_spec(40)
+    assert live_rows(paper) == []
+    spec = with_entries(paper, dist=[((2, 4), 2.5)])  # d(3, 5): 1 -> 2.5, every other z gives ~2
+    assert live_rows(spec) == [2]
+    got = d3_matches_bruteforce(spec)
+    assert len(got) == 38 and all(points[:2] == (3, 5) for points, _, _ in got)
+
+
+@pytest.mark.parametrize("entries", [
+    {"alpha": [((2, 4), 0.5)]},  # alpha < 1 on one pair
+    {"dist": [((3, 3), 1.0)], "alpha": [((3, 3), -5.0)]},  # negative diagonal product
+])
+def test_d3_screen_keeps_witnesses_through_an_endpoint(d3_block, entries):
+    spec = with_entries(paper_example_spec(12), **entries)
+    got = d3_matches_bruteforce(spec)
+    assert got and all(points[2] in points[:2] for points, _, _ in got)
+
+
+def test_d3_screen_keeps_degenerate_term_when_bound_is_nan(d3_block):
+    # Row 0 has alpha*d = +inf off the diagonal and column 0 holds a -inf, so
+    # low[0] + high[0] is nan; the z = x term -1 + -1 still breaks (d3) at (0, 0).
+    n = 5
+    dist = np.ones((n, n)) - np.eye(n)
+    alpha = np.ones((n, n))
+    dist[0, 1:] = dist[1:, 0] = 1e300
+    alpha[0, 1:] = 1e300
+    alpha[1, 0] = -1e300
+    dist[0, 0], alpha[0, 0] = 1.0, -1.0
+    spec = SpaceSpec(tuple(range(n)), dist, alpha)
+    got = d3_matches_bruteforce(spec)
+    assert ((0, 0, 0), 1.0, -2.0) in got
+    assert 0 in live_rows(spec)
+
+
+@pytest.mark.parametrize("tol", [spaces.TOLERANCE, 0.0])
+def test_d3_screen_on_the_tolerance_boundary(d3_block, monkeypatch, tol):
+    monkeypatch.setattr(spaces, "TOLERANCE", tol)
+    monkeypatch.setattr(oracles, "TOLERANCE", tol)
+    # every alpha = 1 pair of the paper example ties through z = x exactly
+    paper = paper_example_spec(20)
+    assert live_rows(paper) == [] and d3_matches_bruteforce(paper) == []
+    # d(0, 1) against 2 = d(0, 2) + d(2, 1): on the boundary, then just past it
+    on = SpaceSpec((0, 1, 2), [[0, 2 + tol, 1], [2 + tol, 0, 1], [1, 1, 0]], np.ones((3, 3)))
+    assert live_rows(on) == [] and d3_matches_bruteforce(on) == []
+    past = with_entries(on, dist=[((0, 1), np.nextafter(2 + tol, 3))])
+    assert live_rows(past) == [0]
+    assert [points for points, _, _ in d3_matches_bruteforce(past)] == [(0, 1, 2)]
+
+
+def test_d3_scan_memory_is_quadratic_when_every_row_is_live():
+    # squared distances on a line with alpha = 2: a valid b-metric on which
+    # the screen proves no row clean, so the scan runs in full
+    n = 200
+    line = np.arange(n, dtype=float)
+    spec = SpaceSpec(tuple(range(n)), (line[:, None] - line) ** 2, np.full((n, n), 2.0))
+    assert len(live_rows(spec)) == n
+    tracemalloc.start()
+    try:
+        assert validate_axioms(spec).valid
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 def test_validator_agrees_with_bruteforce_on_paper_example():

@@ -275,6 +275,12 @@ def test_fuzz_config_validation():
             FuzzConfig(r_grid=(1.0, r))
 
 
+def test_fuzz_config_maps_negative_zero_degree_to_zero():
+    grid = FuzzConfig(trials=1, r_grid=(-0.0, 1.0)).r_grid
+    assert grid == (0.0, 1.0)
+    assert math.copysign(1.0, grid[0]) == 1.0  # r = 0, not r = -0
+
+
 def test_fuzz_small_run_is_clean_and_counts_add_up():
     summary = fuzz(FuzzConfig(trials=150, seed=7))
     assert summary.failures == 0
