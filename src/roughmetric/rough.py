@@ -15,7 +15,7 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from . import spaces
-from .sequences import EpSequence, _require_points, limsup_distance
+from .sequences import EpSequence, _require_points, _unknown_points
 from .spaces import ControlledSpace
 
 
@@ -42,7 +42,9 @@ def is_rough_limit(seq: EpSequence, space: ControlledSpace, x, r: float) -> bool
     """Whether x is a rough limit of degree r (closed boundary, tolerant)."""
     if r < 0:
         raise ValueError(f"roughness degree must be >= 0, got {r}")
-    return limsup_distance(seq, space, x) <= r + spaces.TOLERANCE
+    if not space.contains_all(seq.value_set):
+        raise _unknown_points(seq, space)
+    return space.row_max(seq.tail_set).item(space.index(x)) <= r + spaces.TOLERANCE
 
 
 def rough_limit_set(seq: EpSequence, space: ControlledSpace, r: float) -> RoughLimitSet:

@@ -59,10 +59,14 @@ class BoundednessReport:
     bound: float
 
 
+def _unknown_points(seq: EpSequence, space: ControlledSpace) -> ValueError:
+    unknown = seq.value_set - frozenset(space.points)
+    return ValueError(f"sequence uses points not in the space: {sorted(map(repr, unknown))}")
+
+
 def _require_points(seq: EpSequence, space: ControlledSpace) -> None:
     if not space.contains_all(seq.value_set):
-        unknown = seq.value_set - frozenset(space.points)
-        raise ValueError(f"sequence uses points not in the space: {sorted(map(repr, unknown))}")
+        raise _unknown_points(seq, space)
 
 
 def tail_values(seq: EpSequence) -> frozenset:
@@ -77,7 +81,8 @@ def limsup_distance(seq: EpSequence, space: ControlledSpace, x) -> float:
     gap and the prefix is finite, so it is both an eventual upper bound and is
     approached infinitely often.
     """
-    _require_points(seq, space)
+    if not space.contains_all(seq.value_set):
+        raise _unknown_points(seq, space)
     return space.row_max(seq.tail_set).item(space.index(x))
 
 

@@ -179,7 +179,9 @@ def validate_axioms(spec: SpaceSpec) -> ValidationResult:
     z in {x, y} (they hold automatically when alpha >= 1, but scanning them
     catches table corruption). The (d3) scan runs over blocks of x rows in
     reused buffers, so it needs O(n^2) memory, not O(n^3); it skips the rows
-    that an O(n^2) lower bound on the right-hand side proves clean. Returns all
+    that an O(n^2) lower bound on the right-hand side proves clean. When d and
+    alpha * d are both symmetric, it scans each unordered pair {x, y} once and
+    reports the witness at (y, x, z) with the one at (x, y, z). Returns all
     violations found, each as a witness carrying the axiom id, the offending
     points, and both sides of the failed (in)equality; (d3) witnesses come in
     lexicographic (x, y, z) order.
@@ -202,7 +204,8 @@ def validate_axioms(spec: SpaceSpec) -> ValidationResult:
         violations.append(Violation("d1", (pts[i], pts[j]), 0.0, 0.0))
 
     # (d2) exact symmetry
-    for k in np.flatnonzero(d != d.T):
+    asymmetric = np.flatnonzero(d != d.T)
+    for k in asymmetric:
         i, j = divmod(k, n)
         if i < j:
             violations.append(Violation("d2", (pts[i], pts[j]), float(d[i, j]), float(d[j, i])))
@@ -220,24 +223,44 @@ def validate_axioms(spec: SpaceSpec) -> ValidationResult:
         live = _d3_live_rows(d, m)
         m_live, d_live = m[live], d[live]  # gathered once, so each block is a slice
         mt = np.ascontiguousarray(m.T)
+        # With d and m symmetric (m has no nan: both tables are finite), (y, x, z)
+        # is the inequality at (x, y, z) with the same floats, m[y,z] + m[z,x]
+        # being the commuted sum; so row x scans only y >= x and mirrors its finds.
+        # Skipped with no live row, as in most small valid tables.
+        half = live.size > 0 and asymmetric.size == 0 and not np.count_nonzero(m != mt)
         rows = max(1, min(live.size, _D3_BLOCK // (n * n)))
         rhs_buf = np.empty((rows, n, n))
         bound_buf = np.empty_like(rhs_buf)
         bad_buf = np.empty(rhs_buf.shape, dtype=bool)
+        found = []  # per block: witness indices, rows x, y, z, and their right-hand sides
         for s in range(0, live.size, rows):
             k = min(rows, live.size - s)
-            rhs, bound, bad = rhs_buf[:k], bound_buf[:k], bad_buf[:k]
-            # rhs[i, y, z] with x = live[s + i]
-            np.add(m_live[s : s + k, None, :], mt[None, :, :], out=rhs)
+            y0 = live[s] if half else 0
+            rhs, bound, bad = rhs_buf[:k, : n - y0], bound_buf[:k, : n - y0], bad_buf[:k, : n - y0]
+            # rhs[i, y - y0, z] with x = live[s + i]
+            np.add(m_live[s : s + k, None, :], mt[None, y0:, :], out=rhs)
             np.add(rhs, TOLERANCE, out=bound)
-            np.greater(d_live[s : s + k, :, None], bound, out=bad)
+            np.greater(d_live[s : s + k, y0:, None], bound, out=bad)
             if not bad.any():
                 continue
-            for i, y, z in np.argwhere(bad):
-                x = live[s + i]
-                violations.append(
-                    Violation("d3", (pts[x], pts[y], pts[z]), float(d[x, y]), float(rhs[i, y, z]))
-                )
+            i, y, z = np.nonzero(bad)
+            xyz, sums = np.stack((live[s + i], y + y0, z)), rhs[i, y, z]
+            if half:  # a block's later rows also scan some y < x, which mirrors cover
+                keep = xyz[1] >= xyz[0]
+                xyz, sums = xyz[:, keep], sums[keep]
+            found.append((xyz, sums))
+    if found:
+        xyz = np.concatenate([f[0] for f in found], axis=1)
+        sums = np.concatenate([f[1] for f in found])
+        if half:  # add the mirror (y, x, z) of each y > x witness, then restore the order
+            back = xyz[0] < xyz[1]
+            xyz = np.concatenate((xyz, xyz[[1, 0, 2]][:, back]), axis=1)
+            sums = np.concatenate((sums, sums[back]))
+            order = np.lexsort(xyz[::-1])
+            xyz, sums = xyz[:, order], sums[order]
+        lhs = d[xyz[0], xyz[1]]
+        for x, y, z, left, right in zip(*xyz.tolist(), lhs.tolist(), sums.tolist()):
+            violations.append(Violation("d3", (pts[x], pts[y], pts[z]), left, right))
 
     return ValidationResult(tuple(violations))
 

@@ -250,6 +250,57 @@ def test_d3_screen_on_the_tolerance_boundary(d3_block, monkeypatch, tol):
     assert [points for points, _, _ in d3_matches_bruteforce(past)] == [(0, 1, 2)]
 
 
+def symmetric_tables(spec) -> tuple[bool, bool]:
+    """Whether dist and alpha * dist equal their transposes exactly."""
+    with np.errstate(over="ignore"):
+        m = spec.alpha * spec.dist
+    return bool((spec.dist == spec.dist.T).all()), bool((m == m.T).all())
+
+
+def test_d3_half_scan_puts_mirrored_witnesses_in_order(d3_block):
+    # d(3, 8) and d(5, 6) raised in both directions: rows 5 and 6 fall between
+    # row 3 and the mirrors of its witnesses in row 8
+    spec = with_entries(paper_example_spec(40),
+                        dist=[((2, 7), 2.5), ((7, 2), 2.5), ((4, 5), 2.5), ((5, 4), 2.5)])
+    assert symmetric_tables(spec) == (True, True)
+    got = d3_matches_bruteforce(spec)
+    assert [points[:2] for points, _, _ in got] == (
+        [(3, 8)] * 38 + [(5, 6)] * 38 + [(6, 5)] * 38 + [(8, 3)] * 38)
+
+
+@pytest.mark.parametrize("entries, symmetric", [
+    ({"alpha": [((7, 3), 0.5)]}, (True, False)),  # symmetric d, asymmetric alpha
+    ({"dist": [((7, 3), 4.0)], "alpha": [((7, 3), 0.25)]}, (False, True)),  # symmetric m only
+])
+def test_d3_full_scan_when_a_table_is_asymmetric(d3_block, entries, symmetric):
+    spec = with_entries(paper_example_spec(12), **entries)
+    assert symmetric_tables(spec) == symmetric
+    got = d3_matches_bruteforce(spec)
+    # witnesses below the diagonal whose mirrors are no witnesses
+    assert any(points[:2] == (8, 4) for points, _, _ in got)
+    assert not any(points[:2] == (4, 8) for points, _, _ in got)
+
+
+def test_d3_half_scan_when_alpha_times_dist_overflows(d3_block):
+    # m = +inf on the pair (2, 9) and -inf on the pair (4, 6), in both directions
+    pairs = [(1, 8), (8, 1), (3, 5), (5, 3)]
+    spec = with_entries(paper_example_spec(12), dist=[(ij, 1e300) for ij in pairs],
+                        alpha=zip(pairs, [1e300, 1e300, -1e300, -1e300]))
+    assert symmetric_tables(spec) == (True, True)
+    got = d3_matches_bruteforce(spec)
+    assert any(points[:2] == (2, 9) for points, _, _ in got)
+    assert any(rhs == -math.inf for _, _, rhs in got)
+
+
+def test_d3_half_scan_does_not_double_diagonal_witnesses(d3_block):
+    # d(4, 4) = 5 under a -1 control: (4, 4, z) breaks (d3) for every z, once
+    spec = with_entries(paper_example_spec(12), dist=[((3, 3), 5.0)], alpha=[((3, 3), -1.0)])
+    assert symmetric_tables(spec) == (True, True)
+    got = d3_matches_bruteforce(spec)
+    diagonal = [points for points, _, _ in got if points[:2] == (4, 4)]
+    assert diagonal == [(4, 4, z) for z in range(1, 13)]
+
+
 def test_d3_scan_memory_is_quadratic_when_every_row_is_live():
     # squared distances on a line with alpha = 2: a valid b-metric on which
     # the screen proves no row clean, so the scan runs in full
