@@ -18,7 +18,6 @@ from pathlib import Path
 import click
 import yaml
 
-from . import spaces as _spaces
 from .fileformat import (
     LoadError,
     dump_space,

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 import re
-from typing import Iterable
 
 import yaml
 
@@ -104,6 +103,11 @@ def load_space(text: str) -> SpaceSpec:
     for p in points:
         if isinstance(p, bool) or not isinstance(p, (int, str)):
             raise LoadError(f"point ids must be integers or strings, got {p!r}")
+    by_text: dict = {}
+    for p in points:  # sequence literals name points by their text form
+        other = by_text.setdefault(str(p), p)
+        if other != p:
+            raise LoadError(f"point ids {other!r} and {p!r} share the text form {str(p)!r}")
     n = len(points)
     dist = _parse_table(doc, "dist", n)
     alpha = _parse_table(doc, "alpha", n)

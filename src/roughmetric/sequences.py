@@ -69,11 +69,6 @@ def _require_points(seq: EpSequence, space: ControlledSpace) -> None:
         raise _unknown_points(seq, space)
 
 
-def tail_values(seq: EpSequence) -> frozenset:
-    """The set of values occurring infinitely often."""
-    return seq.tail_set
-
-
 def limsup_distance(seq: EpSequence, space: ControlledSpace, x) -> float:
     """limsup_n d(x_n, x), exact for eventually periodic sequences.
 
@@ -100,9 +95,13 @@ def is_convergent(seq: EpSequence, space: ControlledSpace) -> Optional[object]:
 
 
 def is_cauchy(seq: EpSequence, space: ControlledSpace) -> bool:
-    """True iff eventually constant, i.e. exactly one recurring value."""
-    _require_points(seq, space)
-    return len(seq.tail_set) == 1
+    """True iff the sequence converges.
+
+    Two distinct recurring values stay a positive distance apart (axiom d1),
+    so a Cauchy sequence is eventually constant; on a finite space that is
+    exactly convergence.
+    """
+    return is_convergent(seq, space) is not None
 
 
 def boundedness(seq: EpSequence, space: ControlledSpace) -> BoundednessReport:

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import combinations
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 import yaml
@@ -237,8 +237,9 @@ def check_cluster_ball(space: ControlledSpace, seq: EpSequence, r: float) -> The
     params = {"space": space, "seq": seq, "r": r}
     lim_r = rough_limit_set(seq, space, r).members
     rk = r * space.sup_alpha
+    clusters = space.ordered(cluster_points(seq, space))
     witness = None
-    for c in space.ordered(cluster_points(seq, space)):
+    for c in clusters:
         inside = ball(space, c, rk, "closed").members
         if not lim_r <= inside:
             x = space.ordered(lim_r - inside)[0]
@@ -246,57 +247,39 @@ def check_cluster_ball(space: ControlledSpace, seq: EpSequence, r: float) -> The
                        "distance": space.distance(c, x), "radius": rk}
             break
     return TheoremReport(TheoremId.T_CLUSTER_BALL, witness is None, True, params, witness,
-                         {"cluster_points": list(space.ordered(cluster_points(seq, space)))})
+                         {"cluster_points": list(clusters)})
 
 
-def _dispatch(theorem_id: TheoremId, params: dict) -> TheoremReport:
-    """Re-run any check from its report params (single source for run/rerun)."""
-    if theorem_id is TheoremId.T_DIAM:
-        return check_diameter_bound(params["space"], params["seq"], params["r"])
-    if theorem_id is TheoremId.T_BALL_SANDWICH:
-        return check_ball_sandwich(params["space"], params["seq"], params["r"])
-    if theorem_id is TheoremId.T_DERIVED_SET:
-        return check_derived_set(params["space"], params["seq"], params["r"])
-    if theorem_id is TheoremId.T_ROUGH_BOUNDED:
-        return check_rough_implies_bounded(params["space"], params["seq"], params["r"])
-    if theorem_id is TheoremId.T_BOUNDED_ROUGH:
-        return check_bounded_implies_rough(params["space"], params["seq"])
-    if theorem_id is TheoremId.T_SUBSEQ:
-        return check_subsequence(params["space"], params["seq"], params["r"],
-                                 params["offset"], params["stride"])
-    if theorem_id is TheoremId.T_SHADOW:
-        if params["r"] <= 0:
-            return _na(theorem_id, params, "degree r = 0 is outside the theorem hypothesis r > 0")
-        return check_shadowing(params["space"], params["seq_a"], params["seq_b"], params["r"])
-    if theorem_id is TheoremId.T_LIMSET_SEQ:
-        if params["probe"] is None:
-            return _na(theorem_id, params, "empty rough limit set admits no probe sequence")
-        return check_limitset_sequence(params["space"], params["seq"], params["r"],
-                                       params["probe"])
-    if theorem_id is TheoremId.T_CLUSTER_BALL:
-        return check_cluster_ball(params["space"], params["seq"], params["r"])
-    raise ValueError(f"unknown theorem id {theorem_id!r}")
+#: Every theorem in ``run_all`` order, beside the name of its check. A report's
+#: params are that check's keyword arguments. The check is looked up by name at
+#: call time, so a rebound module attribute (a tracer, a test double) is the
+#: one that runs.
+_CHECKS = {
+    TheoremId.T_DIAM: "check_diameter_bound",
+    TheoremId.T_BALL_SANDWICH: "check_ball_sandwich",
+    TheoremId.T_DERIVED_SET: "check_derived_set",
+    TheoremId.T_ROUGH_BOUNDED: "check_rough_implies_bounded",
+    TheoremId.T_SUBSEQ: "check_subsequence",
+    TheoremId.T_SHADOW: "check_shadowing",
+    TheoremId.T_LIMSET_SEQ: "check_limitset_sequence",
+    TheoremId.T_CLUSTER_BALL: "check_cluster_ball",
+    TheoremId.T_BOUNDED_ROUGH: "check_bounded_implies_rough",  # takes no degree
+}
+_PER_DEGREE = tuple(_CHECKS)[:-1]
+
+
+def _run(theorem_id: TheoremId, params: dict) -> TheoremReport:
+    """Run one check from its report params (the single path of run_all and rerun)."""
+    if theorem_id is TheoremId.T_SHADOW and params["r"] <= 0:
+        return _na(theorem_id, params, "degree r = 0 is outside the theorem hypothesis r > 0")
+    if theorem_id is TheoremId.T_LIMSET_SEQ and params["probe"] is None:
+        return _na(theorem_id, params, "empty rough limit set admits no probe sequence")
+    return globals()[_CHECKS[theorem_id]](**params)
 
 
 def rerun(report: TheoremReport) -> TheoremReport:
     """Re-execute the check recorded in a report from its own params."""
-    return _dispatch(report.theorem_id, report.params)
-
-
-def _shadow_params(space: ControlledSpace, seq: EpSequence, r: float) -> dict:
-    c0 = space.ordered(cluster_points(seq, space))[0]
-    return {"space": space, "seq_a": EpSequence(cycle=(c0,)), "seq_b": seq, "r": r}
-
-
-def _probe_params(space: ControlledSpace, seq: EpSequence, r: float) -> dict:
-    members = rough_limit_set(seq, space, r).ordered()
-    if not members:
-        probe = None
-    elif len(members) == 1:
-        probe = EpSequence(cycle=(members[0],))
-    else:
-        probe = EpSequence(prefix=(members[1],), cycle=(members[0],))
-    return {"space": space, "seq": seq, "r": r, "probe": probe}
+    return _run(report.theorem_id, report.params)
 
 
 def run_all(space: ControlledSpace, seq: EpSequence, r_grid: Sequence[float],
@@ -306,21 +289,24 @@ def run_all(space: ControlledSpace, seq: EpSequence, r_grid: Sequence[float],
     The boundedness-implies-rough check takes no degree and runs once at the
     end. Shadowing pairs the sequence against the constant sequence at its
     first cluster point; the probe for the limit-set-sequence check is an
-    eventually-constant sequence inside the computed rough limit set.
+    eventually-constant sequence inside the computed rough limit set: its
+    second member once, then its first forever.
     """
     reports: list[TheoremReport] = []
     for r in r_grid:
+        members = rough_limit_set(seq, space, r).ordered()
+        probe = EpSequence(prefix=members[1:2], cycle=members[:1]) if members else None
+        c0 = space.ordered(cluster_points(seq, space))[0]
         base = {"space": space, "seq": seq, "r": r}
-        reports.append(_dispatch(TheoremId.T_DIAM, base))
-        reports.append(_dispatch(TheoremId.T_BALL_SANDWICH, base))
-        reports.append(_dispatch(TheoremId.T_DERIVED_SET, base))
-        reports.append(_dispatch(TheoremId.T_ROUGH_BOUNDED, base))
-        reports.append(_dispatch(TheoremId.T_SUBSEQ,
-                                 {**base, "offset": offset, "stride": stride}))
-        reports.append(_dispatch(TheoremId.T_SHADOW, _shadow_params(space, seq, r)))
-        reports.append(_dispatch(TheoremId.T_LIMSET_SEQ, _probe_params(space, seq, r)))
-        reports.append(_dispatch(TheoremId.T_CLUSTER_BALL, base))
-    reports.append(_dispatch(TheoremId.T_BOUNDED_ROUGH, {"space": space, "seq": seq}))
+        special = {
+            TheoremId.T_SUBSEQ: {**base, "offset": offset, "stride": stride},
+            TheoremId.T_SHADOW: {"space": space, "seq_a": EpSequence(cycle=(c0,)),
+                                 "seq_b": seq, "r": r},
+            TheoremId.T_LIMSET_SEQ: {**base, "probe": probe},
+        }
+        for tid in _PER_DEGREE:
+            reports.append(_run(tid, special.get(tid, base)))
+    reports.append(_run(TheoremId.T_BOUNDED_ROUGH, {"space": space, "seq": seq}))
     return reports
 
 

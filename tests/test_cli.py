@@ -169,6 +169,17 @@ def test_analyze_unknown_sequence_point_is_usage_error():
     assert run("analyze", "paper-example:4", "--seq", "2,9").exit_code == 2
 
 
+def test_point_ids_sharing_a_text_form_are_usage_error(tmp_path):
+    doc = tmp_path / "dup.space"
+    doc.write_text('points: [1, "1"]\ndist:\n- [0, 1]\n- [1, 0]\n'
+                   'alpha:\n- [1, 1]\n- [1, 1]\n')
+    result = run("analyze", str(doc), "--seq", "1", "--r", "0")
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)  # no traceback escaped
+    assert "share the text form '1'" in result.output
+    assert "limsup distances" not in result.output
+
+
 def test_analyze_negative_r_is_usage_error():
     assert run("analyze", "paper-example:4", "--seq", "2,3", "--r", "-1").exit_code == 2
 

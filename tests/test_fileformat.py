@@ -92,6 +92,14 @@ def test_load_errors():
         load_space("points: [a, b\ndist: [")  # unclosed flow sequence
 
 
+def test_load_rejects_point_ids_sharing_a_text_form():
+    tables = "dist:\n- [0, 1]\n- [1, 0]\nalpha:\n- [1, 1]\n- [1, 1]\n"
+    with pytest.raises(LoadError, match="share the text form '1'"):
+        load_space('points: [1, "1"]\n' + tables)
+    with pytest.raises(ShapeError, match="distinct"):  # equal ids are a shape error
+        load_space("points: [1, 1]\n" + tables)
+
+
 def test_missing_or_misshapen_tables_are_shape_errors():
     with pytest.raises(ShapeError):
         load_space("points: [a, b]\ndist:\n- [0, 1]\n- [1, 0]\n")  # no alpha

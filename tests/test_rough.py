@@ -18,7 +18,6 @@ from roughmetric import (
     limsup_distance,
     paper_example_spec,
     rough_limit_set,
-    tail_values,
 )
 from roughmetric import spaces
 from roughmetric.theorems import random_sequence, random_space
@@ -86,7 +85,7 @@ def test_degree_zero_is_ordinary_convergence(seq):
 
 @given(seq=sequences6)
 def test_tail_inside_limit_set_at_tail_diameter(seq):
-    tail = tail_values(seq)
+    tail = seq.tail_set
     assert tail <= rough_limit_set(seq, PAPER6, diameter(PAPER6, tail)).members
 
 

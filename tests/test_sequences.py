@@ -14,7 +14,6 @@ from roughmetric import (
     is_convergent,
     limsup_distance,
     paper_example_spec,
-    tail_values,
 )
 from roughmetric.theorems import random_sequence, random_space
 
@@ -63,10 +62,10 @@ def test_term_agrees_with_unrolling(seq):
 # --- tail values ---
 
 def test_tail_values(xi):
-    assert tail_values(xi) == {2, 3}
-    assert tail_values(EpSequence(cycle=(5,))) == {5}
-    assert tail_values(EpSequence(cycle=(1, 2, 1))) == {1, 2}
-    assert tail_values(EpSequence(prefix=(9, 9), cycle=(4,))) == {4}
+    assert xi.tail_set == {2, 3}
+    assert EpSequence(cycle=(5,)).tail_set == {5}
+    assert EpSequence(cycle=(1, 2, 1)).tail_set == {1, 2}
+    assert EpSequence(prefix=(9, 9), cycle=(4,)).tail_set == {4}
 
 
 # --- limsup distance ---
@@ -173,7 +172,7 @@ def test_subsequence_terms_and_tail(seq, offset, stride):
     horizon = scan_horizon(sub, 3)
     for i in range(1, horizon + 1):
         assert sub.term(i) == seq.term(offset + (i - 1) * stride)
-    assert tail_values(sub) <= tail_values(seq)
+    assert sub.tail_set <= seq.tail_set
 
 
 def test_subsequence_cycle_length_divides():

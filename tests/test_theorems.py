@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import yaml
 
+from roughmetric import theorems
 from roughmetric import (
     ControlledSpace,
     EpSequence,
@@ -219,6 +220,54 @@ def test_rerun_reproduces_every_report(paper10, xi):
         assert (again.passed, again.applicable) == (report.passed, report.applicable)
         assert again.witness == report.witness
         assert again.details == report.details
+
+
+RUN_ALL_ORDER = [
+    TheoremId.T_DIAM, TheoremId.T_BALL_SANDWICH, TheoremId.T_DERIVED_SET,
+    TheoremId.T_ROUGH_BOUNDED, TheoremId.T_SUBSEQ, TheoremId.T_SHADOW,
+    TheoremId.T_LIMSET_SEQ, TheoremId.T_CLUSTER_BALL,
+]
+
+
+def test_run_all_follows_the_table(paper10, xi):
+    assert list(theorems._CHECKS) == RUN_ALL_ORDER + [TheoremId.T_BOUNDED_ROUGH]
+    grid = default_r_grid(paper10, xi)
+    reports = run_all(paper10, xi, grid)
+    assert [rep.theorem_id for rep in reports] == \
+        RUN_ALL_ORDER * len(grid) + [TheoremId.T_BOUNDED_ROUGH]
+    for i, r in enumerate(grid):
+        assert all(rep.params["r"] == r for rep in reports[8 * i:8 * i + 8])
+
+
+def test_checks_are_looked_up_at_call_time(monkeypatch, paper10, xi):
+    calls = []
+    original = theorems.check_cluster_ball
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs["r"])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(theorems, "check_cluster_ball", counting)
+    grid = default_r_grid(paper10, xi)
+    reports = run_all(paper10, xi, grid)
+    assert calls == list(grid)
+    cluster = [rep for rep in reports if rep.theorem_id is TheoremId.T_CLUSTER_BALL][0]
+    again = rerun(cluster)
+    assert (again.passed, again.witness, again.details) == \
+        (cluster.passed, cluster.witness, cluster.details)
+    assert len(calls) == len(grid) + 1
+
+
+def test_rerun_keeps_the_hypothesis_guards(paper10, xi):
+    reports = run_all(paper10, xi, [0.0])
+    guarded = {rep.theorem_id: rep for rep in reports
+               if rep.theorem_id in (TheoremId.T_SHADOW, TheoremId.T_LIMSET_SEQ)}
+    assert guarded[TheoremId.T_LIMSET_SEQ].params["probe"] is None
+    for rep in guarded.values():
+        assert not rep.applicable
+        assert rerun(rep).details["reason"] == rep.details["reason"]
+    with pytest.raises(ValueError):
+        check_shadowing(**guarded[TheoremId.T_SHADOW].params)
 
 
 # --- random generation ---
