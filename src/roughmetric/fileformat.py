@@ -85,6 +85,19 @@ def _parse_table(doc: dict, key: str, n: int) -> list[list[float]]:
     return table
 
 
+def _literal_name(p, error=ValueError) -> str:
+    """``str(p)``, the name a sequence literal gives ``p``.
+
+    Raises ``error`` when no literal can name ``p``: the parser splits on ``,``
+    and ``|`` and strips whitespace around each name.
+    """
+    text = str(p)
+    if not text or text != text.strip() or "," in text or "|" in text:
+        raise error(f"point id {p!r} cannot be named in a sequence literal "
+                    "(empty, containing ',' or '|', or with leading or trailing whitespace)")
+    return text
+
+
 def load_space(text: str) -> SpaceSpec:
     """Parse a space document. Shape is enforced here; the axioms are not."""
     try:
@@ -105,7 +118,7 @@ def load_space(text: str) -> SpaceSpec:
             raise LoadError(f"point ids must be integers or strings, got {p!r}")
     by_text: dict = {}
     for p in points:  # sequence literals name points by their text form
-        other = by_text.setdefault(str(p), p)
+        other = by_text.setdefault(_literal_name(p, LoadError), p)
         if other != p:
             raise LoadError(f"point ids {other!r} and {p!r} share the text form {str(p)!r}")
     n = len(points)
@@ -176,7 +189,7 @@ def parse_sequence_literal(text: str, space: ControlledSpace) -> EpSequence:
 
 
 def sequence_literal(seq: EpSequence) -> str:
-    cycle = ",".join(str(v) for v in seq.cycle)
+    cycle = ",".join(_literal_name(v) for v in seq.cycle)
     if seq.prefix:
-        return ",".join(str(v) for v in seq.prefix) + "|" + cycle
+        return ",".join(_literal_name(v) for v in seq.prefix) + "|" + cycle
     return cycle

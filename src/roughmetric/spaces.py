@@ -178,8 +178,9 @@ def validate_axioms(spec: SpaceSpec) -> ValidationResult:
     All ordered triples are scanned, including the degenerate ones with
     z in {x, y} (they hold automatically when alpha >= 1, but scanning them
     catches table corruption). The (d3) scan runs over blocks of x rows in
-    reused buffers, so it needs O(n^2) memory, not O(n^3); it skips the rows
-    that an O(n^2) lower bound on the right-hand side proves clean. When d and
+    reused buffers, so it needs O(n^2) memory, not O(n^3). Above one block it
+    skips the rows that an O(n^2) lower bound proves clean; it searches z by z
+    only the pairs (x, y) that beat their smallest right-hand side. When d and
     alpha * d are both symmetric, it scans each unordered pair {x, y} once and
     reports the witness at (y, x, z) with the one at (x, y, z). Returns all
     violations found, each as a witness carrying the axiom id, the offending
@@ -217,38 +218,36 @@ def validate_axioms(spec: SpaceSpec) -> ValidationResult:
 
     # (d3) over all ordered triples: d[x,y] <= m[x,z] + m[z,y], m = alpha*dist.
     # Huge alpha*d may overflow (inf, or nan from inf - inf): compared as is, silently.
-    # Only the rows that _d3_live_rows cannot prove clean are scanned.
+    # Above one block, only the rows that _d3_live_rows cannot prove clean are scanned.
     with np.errstate(over="ignore", invalid="ignore"):
         m = a * d
-        live = _d3_live_rows(d, m)
+        live = np.arange(n) if n**3 <= _D3_BLOCK else _d3_live_rows(d, m)
         m_live, d_live = m[live], d[live]  # gathered once, so each block is a slice
         mt = np.ascontiguousarray(m.T)
         # With d and m symmetric (m has no nan: both tables are finite), (y, x, z)
         # is the inequality at (x, y, z) with the same floats, m[y,z] + m[z,x]
         # being the commuted sum; so row x scans only y >= x and mirrors its finds.
-        # Skipped with no live row, as in most small valid tables.
+        # Skipped with no live row, as in most valid tables above one block.
         half = live.size > 0 and asymmetric.size == 0 and not np.count_nonzero(m != mt)
         rows = max(1, min(live.size, _D3_BLOCK // (n * n)))
         rhs_buf = np.empty((rows, n, n))
-        bound_buf = np.empty_like(rhs_buf)
-        bad_buf = np.empty(rhs_buf.shape, dtype=bool)
         found = []  # per block: witness indices, rows x, y, z, and their right-hand sides
         for s in range(0, live.size, rows):
             k = min(rows, live.size - s)
             y0 = live[s] if half else 0
-            rhs, bound, bad = rhs_buf[:k, : n - y0], bound_buf[:k, : n - y0], bad_buf[:k, : n - y0]
+            rhs, lhs = rhs_buf[:k, : n - y0], d_live[s : s + k, y0:]
             # rhs[i, y - y0, z] with x = live[s + i]
             np.add(m_live[s : s + k, None, :], mt[None, y0:, :], out=rhs)
-            np.add(rhs, TOLERANCE, out=bound)
-            np.greater(d_live[s : s + k, y0:, None], bound, out=bad)
-            if not bad.any():
+            # exact: fl(t + tol) is monotone in t, and fmin skips nan sums, which never witness
+            i, y = np.nonzero(lhs > np.fmin.reduce(rhs, axis=2) + TOLERANCE)
+            if not i.size:
                 continue
-            i, y, z = np.nonzero(bad)
-            xyz, sums = np.stack((live[s + i], y + y0, z)), rhs[i, y, z]
             if half:  # a block's later rows also scan some y < x, which mirrors cover
-                keep = xyz[1] >= xyz[0]
-                xyz, sums = xyz[:, keep], sums[keep]
-            found.append((xyz, sums))
+                keep = y + y0 >= live[s + i]
+                i, y = i[keep], y[keep]
+            sums = rhs[i, y]  # the flagged pairs' rows, tested z by z
+            p, z = np.nonzero(lhs[i, y][:, None] > sums + TOLERANCE)
+            found.append((np.stack((live[s + i[p]], y[p] + y0, z)), sums[p, z]))
     if found:
         xyz = np.concatenate([f[0] for f in found], axis=1)
         sums = np.concatenate([f[1] for f in found])

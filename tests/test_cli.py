@@ -180,6 +180,16 @@ def test_point_ids_sharing_a_text_form_are_usage_error(tmp_path):
     assert "limsup distances" not in result.output
 
 
+def test_point_id_no_literal_can_name_is_usage_error(tmp_path):
+    doc = tmp_path / "comma.space"
+    doc.write_text('points: ["a,b", c]\ndist:\n- [0, 1]\n- [1, 0]\n'
+                   'alpha:\n- [1, 1]\n- [1, 1]\n')
+    result = run("analyze", str(doc), "--seq", "a,b")
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)  # no traceback escaped
+    assert "point id 'a,b' cannot be named in a sequence literal" in result.output
+
+
 def test_analyze_negative_r_is_usage_error():
     assert run("analyze", "paper-example:4", "--seq", "2,3", "--r", "-1").exit_code == 2
 

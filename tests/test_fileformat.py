@@ -1,9 +1,12 @@
+import json
 import math
+import re
 
 import numpy as np
 import pytest
 
 from roughmetric import (
+    EpSequence,
     InvalidSpaceError,
     LoadError,
     ShapeError,
@@ -100,6 +103,14 @@ def test_load_rejects_point_ids_sharing_a_text_form():
         load_space("points: [1, 1]\n" + tables)
 
 
+@pytest.mark.parametrize("point", ["a,b", "a|b", "", " a", "a ", "\ta"])
+def test_load_rejects_point_ids_no_literal_can_name(point):
+    # parse_sequence_literal splits on ',' and '|' and strips whitespace
+    tables = "dist:\n- [0, 1]\n- [1, 0]\nalpha:\n- [1, 1]\n- [1, 1]\n"
+    with pytest.raises(LoadError, match=f"point id {re.escape(repr(point))} cannot be named"):
+        load_space(f"points: [{json.dumps(point)}, c]\n" + tables)
+
+
 def test_missing_or_misshapen_tables_are_shape_errors():
     with pytest.raises(ShapeError):
         load_space("points: [a, b]\ndist:\n- [0, 1]\n- [1, 0]\n")  # no alpha
@@ -174,6 +185,21 @@ def test_sequence_literal_errors(paper10):
         parse_sequence_literal("2|", paper10)
     with pytest.raises(ValueError):
         parse_sequence_literal("", paper10)
+
+
+def test_sequence_literal_refuses_names_that_do_not_parse_back():
+    for point in ("a,b", "a|b", "", " a"):
+        with pytest.raises(ValueError, match="cannot be named"):
+            sequence_literal(EpSequence(prefix=(), cycle=(point,)))
+    with pytest.raises(ValueError, match="cannot be named"):
+        sequence_literal(EpSequence(prefix=("a,b",), cycle=("c",)))
+
+
+def test_sequence_literal_round_trip_with_inner_spaces():
+    space = build_space(load_space(TWO_POINT_DOC.replace("[a, b]", '["x y", b]')))
+    seq = EpSequence(prefix=("x y",), cycle=("b", "x y"))
+    assert sequence_literal(seq) == "x y|b,x y"
+    assert parse_sequence_literal(sequence_literal(seq), space) == seq
 
 
 def test_sequence_literal_round_trip(paper10):

@@ -301,6 +301,69 @@ def test_d3_half_scan_does_not_double_diagonal_witnesses(d3_block):
     assert diagonal == [(4, 4, z) for z in range(1, 13)]
 
 
+def unit_simplex(n):
+    """Every distance 1, every control 1: each detour through a third point sums to 2."""
+    return SpaceSpec(tuple(range(n)), np.ones((n, n)) - np.eye(n), np.ones((n, n)))
+
+
+def test_d3_pair_minimum_skips_nan_sums(d3_block):
+    # pair (0, 1): d = 3, nan through z = 2 (+inf + -inf), 2 through z = 3, 6 through z = 4
+    spec = with_entries(unit_simplex(5), dist=[((0, 1), 3.0), ((0, 2), 1e300), ((2, 1), 1e300)],
+                        alpha=[((0, 2), 1e300), ((2, 1), -1e300), ((0, 4), 5.0)])
+    got = d3_matches_bruteforce(spec)
+    assert [points for points, _, _ in got if points[:2] == (0, 1)] == [(0, 1, 3)]
+
+
+def test_d3_pair_with_only_nan_sums_has_no_witness(d3_block):
+    # m(0, z) = +inf for z != 1 and m(z, 1) = -inf for z != 1, m(1, 1) = +inf:
+    # every sum for the pair (0, 1) is nan
+    n = 5
+    dist, alpha = np.ones((n, n)) - np.eye(n), np.ones((n, n))
+    dist[0, :] = dist[:, 1] = 1e300
+    alpha[0, :] = 1e300
+    alpha[:, 1] = -1e300
+    alpha[1, 1] = 1e300
+    spec = SpaceSpec(tuple(range(n)), dist, alpha)
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = alpha * dist
+        assert np.isnan(m[0, :] + m[:, 1]).all()
+    got = d3_matches_bruteforce(spec)
+    assert got and not any(points[:2] == (0, 1) for points, _, _ in got)
+
+
+@pytest.mark.parametrize("entries, symmetric", [
+    ({}, (True, True)),
+    ({"alpha": [((0, 1), -2.0)]}, (True, False)),
+])
+def test_d3_every_pair_flagged(d3_block, entries, symmetric):
+    # controls of -1 on unit distances, diagonal included: every triple breaks (d3)
+    n = 9
+    spec = with_entries(SpaceSpec(tuple(range(n)), np.ones((n, n)), -np.ones((n, n))), **entries)
+    assert symmetric_tables(spec) == symmetric
+    got = d3_matches_bruteforce(spec)
+    assert [points for points, _, _ in got] == [
+        (x, y, z) for x in range(n) for y in range(n) for z in range(n)]
+
+
+@pytest.mark.parametrize("symmetric", [False, True])
+@pytest.mark.parametrize("tol", [spaces.TOLERANCE, 0.0])
+def test_d3_pair_minimum_on_the_tolerance_boundary(d3_block, monkeypatch, tol, symmetric):
+    monkeypatch.setattr(spaces, "TOLERANCE", tol)
+    monkeypatch.setattr(oracles, "TOLERANCE", tol)
+    # (0, 1) sits on its smallest sum 2 plus the tolerance, (2, 3) just past it;
+    # d(3, 4) = 3 beats 2 through z = 0, and 3 - 5e-10 through z = 1 only when tol = 0
+    pairs = [((0, 1), 2 + tol), ((2, 3), np.nextafter(2 + tol, 3)), ((3, 4), 3.0),
+             ((3, 1), 2 - 5e-10)]
+    if symmetric:
+        pairs += [((j, i), v) for (i, j), v in pairs]
+    spec = with_entries(unit_simplex(5), dist=pairs)
+    assert symmetric_tables(spec) == (symmetric, symmetric)
+    got = [points for points, _, _ in d3_matches_bruteforce(spec)]
+    assert not any(points[:2] in ((0, 1), (1, 0)) for points in got)
+    assert (2, 3, 0) in got and (3, 4, 0) in got
+    assert ((3, 4, 1) in got) == (tol == 0)
+
+
 def test_d3_scan_memory_is_quadratic_when_every_row_is_live():
     # squared distances on a line with alpha = 2: a valid b-metric on which
     # the screen proves no row clean, so the scan runs in full
