@@ -136,6 +136,7 @@ def format_real(x: float) -> str:
 
 
 _BARE_STRING = re.compile(r"^[A-Za-z_][A-Za-z0-9_.-]*$")
+_RESOLVER = yaml.resolver.Resolver()  # the one yaml.safe_load uses
 
 
 def _scalar(p) -> str:
@@ -143,7 +144,9 @@ def _scalar(p) -> str:
         raise ValueError(f"cannot serialize point id {p!r}")
     if isinstance(p, int):
         return str(p)
-    if _BARE_STRING.match(p) and p.lower() not in ("true", "false", "null", "yes", "no"):
+    # bare only when YAML reads it back as this string, not as a bool (on, No) or null
+    plain = _BARE_STRING.match(p) and _RESOLVER.resolve(yaml.ScalarNode, p, (True, False))
+    if plain == "tag:yaml.org,2002:str":
         return p
     return '"' + p.replace("\\", "\\\\").replace('"', '\\"') + '"'
 

@@ -88,12 +88,12 @@ def derived_set(space: ControlledSpace, subset: Iterable) -> frozenset:
     """Limit points of ``subset`` in the ball topology of the space.
 
     y is a limit point iff every open ball around y meets subset \\ {y}; on a
-    finite table that reduces to some other member sitting at (tolerantly)
-    zero distance from y. For a validated space this is always empty, since
-    distinct points keep a positive distance; the computation is kept general
-    so pseudo-metric-like tables would still be handled.
+    finite table that reduces to some other member at distance exactly zero
+    from y, at any scale. For a validated space this is always empty, since
+    (d1) keeps distinct points at a positive distance; the computation is kept
+    general so pseudo-metric-like tables would still be handled.
     """
     idx = [space.index(p) for p in set(subset)]
-    near = space.dist[:, idx] <= spaces.TOLERANCE  # near[y, k]: d(y, member k) ~ 0
+    near = space.dist[:, idx] == 0.0  # near[y, k]: d(y, member k) = 0
     near[idx, range(len(idx))] = False  # a member is not its own neighbour
     return frozenset(space.points[i] for i in np.flatnonzero(near.any(axis=1)))

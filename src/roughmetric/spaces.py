@@ -48,6 +48,9 @@ TOLERANCE = _read_tolerance()
 #: rows (n^2 triples each), so the scan's buffers take O(n^2) memory.
 _D3_BLOCK = 1 << 14
 
+#: Value sets ``ControlledSpace.row_max`` caches before clearing (a 6-point space has 63).
+_ROW_MAX_CACHE = 256
+
 
 def leq(a: float, b: float) -> bool:
     """Tolerant ``a <= b``."""
@@ -177,15 +180,15 @@ def validate_axioms(spec: SpaceSpec) -> ValidationResult:
 
     All ordered triples are scanned, including the degenerate ones with
     z in {x, y} (they hold automatically when alpha >= 1, but scanning them
-    catches table corruption). The (d3) scan runs over blocks of x rows in
-    reused buffers, so it needs O(n^2) memory, not O(n^3). Above one block it
-    skips the rows that an O(n^2) lower bound proves clean; it searches z by z
-    only the pairs (x, y) that beat their smallest right-hand side. When d and
-    alpha * d are both symmetric, it scans each unordered pair {x, y} once and
-    reports the witness at (y, x, z) with the one at (x, y, z). Returns all
+    catches table corruption). (d3) takes two exact passes in O(n^2) memory.
+    Pass 1 takes each pair's smallest right-hand side over z, in blocks of x
+    rows; above one block it skips the rows that an O(n^2) lower bound proves
+    clean, and when d and alpha * d are both symmetric it scans each unordered
+    pair {x, y} once and copies the minimum to (y, x). Pass 2 searches z by z
+    only the pairs (x, y) that beat their minimum, in (x, y) order, so (d3)
+    witnesses are built in lexicographic (x, y, z) order. Returns all
     violations found, each as a witness carrying the axiom id, the offending
-    points, and both sides of the failed (in)equality; (d3) witnesses come in
-    lexicographic (x, y, z) order.
+    points, and both sides of the failed (in)equality.
     """
     d, a, pts = spec.dist, spec.alpha, spec.points
     n = spec.n
@@ -222,44 +225,37 @@ def validate_axioms(spec: SpaceSpec) -> ValidationResult:
     with np.errstate(over="ignore", invalid="ignore"):
         m = a * d
         live = np.arange(n) if n**3 <= _D3_BLOCK else _d3_live_rows(d, m)
-        m_live, d_live = m[live], d[live]  # gathered once, so each block is a slice
+        m_live = m[live]  # gathered once, so each block is a slice
         mt = np.ascontiguousarray(m.T)
         # With d and m symmetric (m has no nan: both tables are finite), (y, x, z)
         # is the inequality at (x, y, z) with the same floats, m[y,z] + m[z,x]
-        # being the commuted sum; so row x scans only y >= x and mirrors its finds.
-        # Skipped with no live row, as in most valid tables above one block.
+        # being the commuted sum; so row x scans only y >= x. Skipped with no
+        # live row, as in most valid tables above one block.
         half = live.size > 0 and asymmetric.size == 0 and not np.count_nonzero(m != mt)
         rows = max(1, min(live.size, _D3_BLOCK // (n * n)))
         rhs_buf = np.empty((rows, n, n))
-        found = []  # per block: witness indices, rows x, y, z, and their right-hand sides
+        low = np.full((live.size, n), np.inf)  # pass 1: each pair's smallest sum
         for s in range(0, live.size, rows):
             k = min(rows, live.size - s)
             y0 = live[s] if half else 0
-            rhs, lhs = rhs_buf[:k, : n - y0], d_live[s : s + k, y0:]
-            # rhs[i, y - y0, z] with x = live[s + i]
+            rhs = rhs_buf[:k, : n - y0]  # rhs[i, y - y0, z] with x = live[s + i]
             np.add(m_live[s : s + k, None, :], mt[None, y0:, :], out=rhs)
-            # exact: fl(t + tol) is monotone in t, and fmin skips nan sums, which never witness
-            i, y = np.nonzero(lhs > np.fmin.reduce(rhs, axis=2) + TOLERANCE)
-            if not i.size:
-                continue
-            if half:  # a block's later rows also scan some y < x, which mirrors cover
-                keep = y + y0 >= live[s + i]
-                i, y = i[keep], y[keep]
-            sums = rhs[i, y]  # the flagged pairs' rows, tested z by z
-            p, z = np.nonzero(lhs[i, y][:, None] > sums + TOLERANCE)
-            found.append((np.stack((live[s + i[p]], y[p] + y0, z)), sums[p, z]))
-    if found:
-        xyz = np.concatenate([f[0] for f in found], axis=1)
-        sums = np.concatenate([f[1] for f in found])
-        if half:  # add the mirror (y, x, z) of each y > x witness, then restore the order
-            back = xyz[0] < xyz[1]
-            xyz = np.concatenate((xyz, xyz[[1, 0, 2]][:, back]), axis=1)
-            sums = np.concatenate((sums, sums[back]))
-            order = np.lexsort(xyz[::-1])
-            xyz, sums = xyz[:, order], sums[order]
-        lhs = d[xyz[0], xyz[1]]
-        for x, y, z, left, right in zip(*xyz.tolist(), lhs.tolist(), sums.tolist()):
-            violations.append(Violation("d3", (pts[x], pts[y], pts[z]), left, right))
+            np.fmin.reduce(rhs, axis=2, out=low[s : s + k, y0:])
+        if half:  # (x, y) with y < x takes row y's minimum; +inf if the screen proved row y clean
+            full = np.full((n, n), np.inf)
+            full[live] = low
+            np.fmin(low, full.T[live], out=low)
+        # pass 2, exact: fl(t + tol) is monotone in t, and fmin skips nan sums, which
+        # never witness. The flagged pairs come in (x, y) order and are searched z by z.
+        i, y = np.nonzero(d[live] > low + TOLERANCE)
+        x, step = live[i], max(1, _D3_BLOCK // n)
+        for s in range(0, x.size, step):
+            xs, ys = x[s : s + step], y[s : s + step]
+            lhs, sums = d[xs, ys], m[xs] + mt[ys]
+            p, z = np.nonzero(lhs[:, None] > sums + TOLERANCE)
+            for u, v, w, left, right in zip(xs[p].tolist(), ys[p].tolist(), z.tolist(),
+                                            lhs[p].tolist(), sums[p, z].tolist()):
+                violations.append(Violation("d3", (pts[u], pts[v], pts[w]), left, right))
 
     return ValidationResult(tuple(violations))
 
@@ -317,9 +313,11 @@ class ControlledSpace:
     def row_max(self, values: frozenset) -> np.ndarray:
         """Max of d(v, x) over v in nonempty ``values``, for each x in point order.
 
-        Computed once per value set and cached on the space; the array is read-only."""
+        Cached on the space, cleared at ``_ROW_MAX_CACHE`` value sets; the array is read-only."""
         out = self._row_max.get(values)
         if out is None:
+            if len(self._row_max) >= _ROW_MAX_CACHE:
+                self._row_max.clear()
             out = self.spec.dist[[self.index(v) for v in values]].max(axis=0)
             out.setflags(write=False)
             self._row_max[values] = out

@@ -266,6 +266,19 @@ def test_emitted_file_loads_through_cli(tmp_path):
     assert run("validate", str(doc)).exit_code == 0
 
 
+def test_emitted_boolean_like_ids_validate(tmp_path):
+    doc = tmp_path / "switches.space"
+    doc.write_text('points: ["on", "off", c]\n'
+                   "dist:\n- [0, 1, 1]\n- [1, 0, 1]\n- [1, 1, 0]\n"
+                   "alpha:\n- [1, 1, 1]\n- [1, 1, 1]\n- [1, 1, 1]\n")
+    assert run("validate", str(doc)).exit_code == 0
+    emitted = tmp_path / "emitted.space"
+    emitted.write_text(run("emit", str(doc)).output)
+    result = run("validate", str(emitted))
+    assert result.exit_code == 0, result.output
+    assert load_space(emitted.read_text()).points == ("on", "off", "c")
+
+
 def test_string_point_space_end_to_end(tmp_path):
     doc = tmp_path / "named.space"
     doc.write_text(

@@ -10,6 +10,7 @@ from roughmetric import (
     InvalidSpaceError,
     LoadError,
     ShapeError,
+    SpaceSpec,
     build_space,
     dump_space,
     load_space,
@@ -152,6 +153,18 @@ def test_dump_quotes_awkward_strings():
     assert spec.points == ("true", "x y")
     again = load_space(dump_space(spec))
     assert again.points == ("true", "x y")
+
+
+@pytest.mark.parametrize("ids", [
+    ["on", "On", "ON", "off", "Off", "OFF"],
+    ["true", "False", "yes", "No", "null", "NULL", "y", "tRUE", "plain"],
+])
+def test_dump_round_trips_ids_yaml_would_resolve(ids):
+    n = len(ids)
+    spec = SpaceSpec(tuple(ids), np.ones((n, n)) - np.eye(n), np.ones((n, n)))
+    again = load_space(dump_space(spec))
+    assert again.points == spec.points
+    assert load_space(dump_space(again)).points == spec.points
 
 
 def test_dump_uses_12_significant_digits():

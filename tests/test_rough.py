@@ -20,7 +20,7 @@ from roughmetric import (
     rough_limit_set,
 )
 from roughmetric import spaces
-from roughmetric.theorems import random_sequence, random_space
+from roughmetric.theorems import check_derived_set, random_sequence, random_space
 
 from oracles import cluster_points_direct, rough_limit_direct
 
@@ -210,6 +210,15 @@ def test_derived_set_detects_zero_distance_pairs():
     assert derived_set(space, {"c"}) == set()
 
 
+def test_derived_set_empty_at_a_tiny_scale():
+    # every distance at most 1e-10 lies within the tolerance, yet (d1) keeps them positive
+    spec = paper_example_spec(10)
+    space = build_space(SpaceSpec(spec.points, spec.dist * 1e-10, spec.alpha))
+    assert derived_set(space, set(space.points)) == set()
+    report = check_derived_set(space, EpSequence(cycle=(2, 3)), 1e-10)
+    assert report.passed and report.details["vacuous"]
+
+
 # --- one cached limsup vector per tail set ---
 
 def _limsup_spaces():
@@ -260,6 +269,18 @@ def test_unknown_prefix_point_raises_after_tail_set_is_cached(paper4):
     for query in queries:
         with pytest.raises(ValueError, match="not in the space"):
             query()
+
+
+def test_row_max_cache_stays_bounded():
+    space = build_space(paper_example_spec(12))
+    cap = spaces._ROW_MAX_CACHE
+    tails = [frozenset(p for k, p in enumerate(space.points) if mask >> k & 1)
+             for mask in range(1, 3 * cap)]
+    for tail in tails:
+        want = [max(space.distance(v, x) for v in tail) for x in space.points]
+        assert space.row_max(tail).tolist() == want
+        assert len(space._row_max) <= cap
+    assert space.row_max(tails[-1]) is space.row_max(tails[-1])
 
 
 def test_row_max_is_cached_and_read_only(paper4):

@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from roughmetric import (
     InvalidSpaceError,
@@ -378,6 +378,47 @@ def test_d3_scan_memory_is_quadratic_when_every_row_is_live():
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2**20
+
+
+def test_d3_half_scan_live_row_with_clean_partner_below(d3_block):
+    # a star: point 0 at distance 1 from every other point, the others 2 apart,
+    # so the screen proves every row clean; d(10, 20) = 2.5 > 1 + 1 makes rows
+    # 10 and 20 live, and their pairs with the clean row 0 are never scanned
+    n = 30
+    dist = np.full((n, n), 2.0)
+    dist[0, :] = dist[:, 0] = 1.0
+    np.fill_diagonal(dist, 0.0)
+    star = SpaceSpec(tuple(range(n)), dist, np.ones((n, n)))
+    assert live_rows(star) == [] and d3_matches_bruteforce(star) == []
+    spec = with_entries(star, dist=[((10, 20), 2.5), ((20, 10), 2.5)])
+    assert symmetric_tables(spec) == (True, True)
+    assert live_rows(spec) == [10, 20]
+    assert d3_matches_bruteforce(spec) == [((10, 20, 0), 2.5, 2.0), ((20, 10, 0), 2.5, 2.0)]
+
+
+def symmetrized(spec):
+    """``spec`` with dist and alpha mirrored from their upper triangles."""
+    d, a = (np.triu(t) + np.triu(t, 1).T for t in (spec.dist, spec.alpha))
+    return SpaceSpec(spec.points, d, a)
+
+
+@pytest.mark.parametrize("block", [1, 7, 500, spaces._D3_BLOCK])
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 40), planted=st.booleans(),
+       symmetric=st.booleans())
+def test_d3_matches_bruteforce_on_adversarial_tables(block, seed, n, planted, symmetric):
+    rng = np.random.default_rng(seed)
+    spec = adversarial_garbage(rng, n)
+    if planted:  # a few garbage entries in a valid table, so the screen proves some rows clean
+        paper, pick = paper_example_spec(n), rng.random((n, n)) < 0.01
+        spec = SpaceSpec(spec.points, np.where(pick, spec.dist, paper.dist),
+                         np.where(pick, spec.alpha, paper.alpha))
+    if symmetric:  # the half scan, with +-inf products
+        spec = symmetrized(spec)
+        assert symmetric_tables(spec) == (True, True)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(spaces, "_D3_BLOCK", block)
+        d3_matches_bruteforce(spec)
 
 
 def test_validator_agrees_with_bruteforce_on_paper_example():
