@@ -55,7 +55,11 @@ def _load_spec(source: str) -> SpaceSpec:
     if not path.is_file():
         raise click.UsageError(f"no such space document: {source}")
     try:
-        return load_space(path.read_text())
+        text = path.read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise click.UsageError(f"{source}: cannot read: {exc}")
+    try:
+        return load_space(text)
     except (LoadError, ShapeError) as exc:
         raise click.UsageError(f"{source}: {exc}")
 

@@ -81,7 +81,10 @@ def _parse_table(doc: dict, key: str, n: int) -> list[list[float]]:
             raise ShapeError(f"{key} row {i} must be a list")
         if len(row) != n:
             raise ShapeError(f"{key} row {i} has {len(row)} entries, expected {n}")
-        table.append([parse_real(v, where=f"{key}[{i}][{j}]") for j, v in enumerate(row)])
+        try:
+            table.append([parse_real(v) for v in row])
+        except LoadError:  # parse the row again to name the entry
+            table.append([parse_real(v, where=f"{key}[{i}][{j}]") for j, v in enumerate(row)])
     return table
 
 
@@ -98,10 +101,43 @@ def _literal_name(p, error=ValueError) -> str:
     return text
 
 
+# libyaml reads text made only of these characters as the pure-Python parser
+# does; outside them the two disagree (a tab after a key, tags, anchors, ...).
+# dump_space writes nothing else for ids of letters, digits and ``_.-``.
+_LIBYAML = getattr(yaml, "CSafeLoader", None)
+_LIBYAML_TEXT = re.compile(r'[A-Za-z0-9 ,.\[\]"/()+\n:_{}-]*')
+# libyaml's composer recurses in C once per nesting level: with an 8 MB stack
+# it kills the interpreter between 21,000 and 25,000 levels. The pure-Python
+# parser raises RecursionError near 500.
+_LIBYAML_MAX_OPENERS = 10_000
+
+
+def _parse(text: str):
+    """``yaml.safe_load(text)``, through libyaml when that gives the same result.
+
+    Errors always come from the pure-Python parser, so their text and marks do
+    not depend on whether libyaml is installed.
+    """
+    if (_LIBYAML is not None and _LIBYAML_TEXT.fullmatch(text)
+            and text.count("[") + text.count("{") <= _LIBYAML_MAX_OPENERS):
+        try:
+            return yaml.load(text, Loader=_LIBYAML)
+        except Exception:  # any libyaml failure: let the pure parser report it
+            pass
+    return yaml.safe_load(text)
+
+
 def load_space(text: str) -> SpaceSpec:
     """Parse a space document. Shape is enforced here; the axioms are not."""
     try:
-        doc = yaml.safe_load(text)
+        return _load_space(text)
+    except RecursionError as exc:
+        raise LoadError("document is nested too deeply") from exc
+
+
+def _load_space(text: str) -> SpaceSpec:
+    try:
+        doc = _parse(text)
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         at = f" at line {mark.line + 1}" if mark is not None else ""

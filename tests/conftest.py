@@ -1,6 +1,6 @@
 import pytest
 
-from roughmetric import EpSequence, build_space, paper_example_spec
+from roughmetric import EpSequence, build_space, fileformat, paper_example_spec
 
 
 @pytest.fixture(scope="session")
@@ -22,3 +22,13 @@ def paper10():
 def xi():
     """The alternating 2,3,2,3,... sequence."""
     return EpSequence(cycle=(2, 3))
+
+
+@pytest.fixture(params=["libyaml", "pure"])
+def yaml_parser(request, monkeypatch):
+    """Each parser path of ``load_space``: libyaml, and the pure-Python parser."""
+    if request.param == "pure":
+        monkeypatch.setattr(fileformat, "_LIBYAML", None)
+    elif fileformat._LIBYAML is None:
+        pytest.skip("this PyYAML is built without libyaml")
+    return request.param

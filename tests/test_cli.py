@@ -62,6 +62,15 @@ def test_validate_missing_file_is_usage_error():
     assert run("validate", "no/such/file.space").exit_code == 2
 
 
+def test_validate_undecodable_document_is_usage_error(tmp_path):
+    doc = tmp_path / "latin.space"
+    doc.write_bytes(b"points: [1, 2]\n\xff\xfe\n")
+    result = run("validate", str(doc))
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)  # no traceback escaped
+    assert "cannot read: 'utf-8' codec can't decode byte 0xff" in result.output
+
+
 def test_validate_shape_error_is_usage_error(tmp_path):
     doc = tmp_path / "bad.space"
     doc.write_text("points: [a, b]\ndist:\n- [0, 1]\n- [1, 0]\n")

@@ -1,10 +1,17 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
+from hypothesis import given, settings, strategies as st
 
+import roughmetric
 from roughmetric import (
     EpSequence,
     InvalidSpaceError,
@@ -13,6 +20,7 @@ from roughmetric import (
     SpaceSpec,
     build_space,
     dump_space,
+    fileformat,
     load_space,
     paper_example_spec,
     parse_real,
@@ -119,6 +127,101 @@ def test_missing_or_misshapen_tables_are_shape_errors():
         load_space("points: [a, b]\ndist:\n- [0, 1]\nalpha:\n- [1, 1]\n- [1, 1]\n")
     with pytest.raises(ShapeError):
         load_space("points: [a, b]\ndist:\n- [0, 1, 2]\n- [1, 0, 2]\nalpha:\n- [1, 1]\n- [1, 1]\n")
+
+
+# --- the two parser paths ---
+
+needs_libyaml = pytest.mark.skipif(fileformat._LIBYAML is None,
+                                   reason="this PyYAML is built without libyaml")
+
+
+def _recording_loader(calls, fail=None):
+    class Loader(fileformat._LIBYAML):
+        def __init__(self, stream):
+            calls.append(stream)
+            if fail is not None:
+                raise fail
+            super().__init__(stream)
+    return Loader
+
+
+@needs_libyaml
+def test_libyaml_reads_dumped_documents(monkeypatch):
+    calls = []
+    monkeypatch.setattr(fileformat, "_LIBYAML", _recording_loader(calls))
+    text = dump_space(random_space(np.random.default_rng(5), 6).spec)
+    load_space(text)
+    assert calls == [text]
+    load_space(text.replace("\n", "\r\n"))  # outside the character subset
+    assert calls == [text]
+
+
+@needs_libyaml
+@pytest.mark.parametrize("error", [IndexError("libyaml"), yaml.YAMLError("libyaml")])
+def test_libyaml_failure_falls_back_to_the_pure_parser(monkeypatch, error):
+    calls = []
+    monkeypatch.setattr(fileformat, "_LIBYAML", _recording_loader(calls, fail=error))
+    spec = load_space(TWO_POINT_DOC)
+    assert calls == [TWO_POINT_DOC]
+    assert spec.points == ("a", "b") and spec.alpha[0, 1] == math.sqrt(2)
+    with pytest.raises(LoadError, match="at line 2: while parsing a flow sequence"):
+        load_space("points: [a, b\n")
+
+
+@needs_libyaml
+def test_nesting_that_would_overflow_libyaml_takes_the_pure_parser():
+    # 30,000 levels overflow libyaml's C stack and kill the interpreter, so
+    # this runs in a child process.
+    code = ("from roughmetric import LoadError, load_space\n"
+            "try:\n    load_space('[' * 30000 + ']' * 30000)\n"
+            "except LoadError as exc:\n    print(exc)\n")
+    src = str(Path(roughmetric.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert (proc.returncode, proc.stdout) == (0, "document is nested too deeply\n")
+
+
+_DIFF_BASES = [
+    TWO_POINT_DOC,
+    dump_space(paper_example_spec(3)),
+    dump_space(random_space(np.random.default_rng(3), 4).spec),
+    'points: ["on", "x y", "true", c_1]\ndist:\n- [0, 1, 1, 1]\n- [1, 0, 1, 1]\n'
+    '- [1, 1, 0, 1]\n- [1, 1, 1, 0]\nalpha: {}\n',
+]
+# characters of the libyaml subset, then characters outside it
+_DIFF_CHARS = list('azAZ09 ,.[]"/()+\n:_{}-') + list("\t\r!&*?@%#'|>\\`~=;$^\x00\x85é€😀")
+
+
+def _mutate(text, edits):
+    """Apply (kind, where in [0, 1), char) edits in turn."""
+    for kind, where, char in edits:
+        i = int(where * (len(text) + (kind == "insert")))
+        text = text[:i] + ("" if kind == "delete" else char) + text[i + (kind != "insert"):]
+    return text
+
+
+def _outcome(text):
+    try:
+        spec = load_space(text)
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+    return repr((spec.points, spec.dist.tolist(), spec.alpha.tolist()))
+
+
+@needs_libyaml
+@settings(max_examples=300, deadline=None)
+@given(base=st.sampled_from(_DIFF_BASES),
+       edits=st.lists(st.tuples(st.sampled_from(["insert", "delete", "replace"]),
+                                st.floats(0, 1, exclude_max=True),
+                                st.sampled_from(_DIFF_CHARS)), min_size=1, max_size=12))
+def test_both_parser_paths_give_the_same_outcome(base, edits):
+    text = _mutate(base, edits)
+    with pytest.MonkeyPatch.context() as mp:
+        libyaml = _outcome(text)
+        mp.setattr(fileformat, "_LIBYAML", None)
+        pure = _outcome(text)
+    if pure != ("LoadError", "document is nested too deeply"):
+        assert libyaml == pure
 
 
 # --- emitting and round trips ---
