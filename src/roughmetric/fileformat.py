@@ -81,10 +81,7 @@ def _parse_table(doc: dict, key: str, n: int) -> list[list[float]]:
             raise ShapeError(f"{key} row {i} must be a list")
         if len(row) != n:
             raise ShapeError(f"{key} row {i} has {len(row)} entries, expected {n}")
-        try:
-            table.append([parse_real(v) for v in row])
-        except LoadError:  # parse the row again to name the entry
-            table.append([parse_real(v, where=f"{key}[{i}][{j}]") for j, v in enumerate(row)])
+        table.append([parse_real(v, where=f"{key}[{i}][{j}]") for j, v in enumerate(row)])
     return table
 
 
@@ -105,11 +102,13 @@ def _literal_name(p, error=ValueError) -> str:
 # does; outside them the two disagree (a tab after a key, tags, anchors, ...).
 # dump_space writes nothing else for ids of letters, digits and ``_.-``.
 _LIBYAML = getattr(yaml, "CSafeLoader", None)
-_LIBYAML_TEXT = re.compile(r'[A-Za-z0-9 ,.\[\]"/()+\n:_{}-]*')
-# libyaml's composer recurses in C once per nesting level: with an 8 MB stack
-# it kills the interpreter between 21,000 and 25,000 levels. The pure-Python
-# parser raises RecursionError near 500.
-_LIBYAML_MAX_OPENERS = 10_000
+_LIBYAML_TEXT = re.compile(r'[A-Za-z0-9 ,.\[\]"/()+\n:_-]*')
+# libyaml's composer recurses in C once per nesting level and, on an 8 MB
+# stack, kills the interpreter near 20,000 levels. Within the subset a level
+# opens with '[' or a block entry '- ' (a '[a: ' level adds a mapping too);
+# any other nesting needs one more column of indentation per level. The
+# pure-Python parser raises RecursionError near 500 levels.
+_LIBYAML_MAX_OPENERS = 5_000
 
 
 def _parse(text: str):
@@ -119,7 +118,7 @@ def _parse(text: str):
     not depend on whether libyaml is installed.
     """
     if (_LIBYAML is not None and _LIBYAML_TEXT.fullmatch(text)
-            and text.count("[") + text.count("{") <= _LIBYAML_MAX_OPENERS):
+            and text.count("[") + text.count("- ") <= _LIBYAML_MAX_OPENERS):
         try:
             return yaml.load(text, Loader=_LIBYAML)
         except Exception:  # any libyaml failure: let the pure parser report it
