@@ -16,10 +16,10 @@ import re
 from pathlib import Path
 
 import click
-import yaml
 
 from .fileformat import (
     LoadError,
+    dump_document,
     dump_space,
     format_real,
     load_space,
@@ -113,7 +113,7 @@ def _members(space: ControlledSpace, members) -> str:
 
 
 def _echo_yaml(doc: dict) -> None:
-    click.echo(yaml.safe_dump(doc, sort_keys=False), nl=False)
+    click.echo(dump_document(doc), nl=False)
 
 
 format_option = click.option(

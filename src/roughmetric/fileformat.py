@@ -16,14 +16,16 @@ Tables are row-major, indexed by the ``points`` order. Entries are numbers or
 small expressions (``sqrt(x)`` and a single division), so golden files can
 carry exact irrational values without precision drift. Reals are emitted with
 up to 12 significant digits.
+
+PyYAML is imported by the functions that read or write YAML, on first use,
+so ``import roughmetric`` does not load it.
 """
 
 from __future__ import annotations
 
 import math
 import re
-
-import yaml
+from functools import partial
 
 from .sequences import EpSequence
 from .spaces import ControlledSpace, ShapeError, SpaceSpec
@@ -101,7 +103,6 @@ def _literal_name(p, error=ValueError) -> str:
 # libyaml reads text made only of these characters as the pure-Python parser
 # does; outside them the two disagree (a tab after a key, tags, anchors, ...).
 # dump_space writes nothing else for ids of letters, digits and ``_.-``.
-_LIBYAML = getattr(yaml, "CSafeLoader", None)
 _LIBYAML_TEXT = re.compile(r'[A-Za-z0-9 ,.\[\]"/()+\n:_-]*')
 # libyaml's composer recurses in C once per nesting level and, on an 8 MB
 # stack, kills the interpreter near 20,000 levels. Within the subset a level
@@ -117,10 +118,13 @@ def _parse(text: str):
     Errors always come from the pure-Python parser, so their text and marks do
     not depend on whether libyaml is installed.
     """
-    if (_LIBYAML is not None and _LIBYAML_TEXT.fullmatch(text)
+    import yaml
+
+    libyaml = getattr(yaml, "CSafeLoader", None)
+    if (libyaml is not None and _LIBYAML_TEXT.fullmatch(text)
             and text.count("[") + text.count("- ") <= _LIBYAML_MAX_OPENERS):
         try:
-            return yaml.load(text, Loader=_LIBYAML)
+            return yaml.load(text, Loader=libyaml)
         except Exception:  # any libyaml failure: let the pure parser report it
             pass
     return yaml.safe_load(text)
@@ -135,6 +139,8 @@ def load_space(text: str) -> SpaceSpec:
 
 
 def _load_space(text: str) -> SpaceSpec:
+    import yaml
+
     try:
         doc = _parse(text)
     except yaml.YAMLError as exc:
@@ -171,17 +177,15 @@ def format_real(x: float) -> str:
 
 
 _BARE_STRING = re.compile(r"^[A-Za-z_][A-Za-z0-9_.-]*$")
-_RESOLVER = yaml.resolver.Resolver()  # the one yaml.safe_load uses
 
 
-def _scalar(p) -> str:
+def _scalar(p, resolve) -> str:
     if isinstance(p, bool) or not isinstance(p, (int, str)):
         raise ValueError(f"cannot serialize point id {p!r}")
     if isinstance(p, int):
         return str(p)
     # bare only when YAML reads it back as this string, not as a bool (on, No) or null
-    plain = _BARE_STRING.match(p) and _RESOLVER.resolve(yaml.ScalarNode, p, (True, False))
-    if plain == "tag:yaml.org,2002:str":
+    if _BARE_STRING.match(p) and resolve(p) == "tag:yaml.org,2002:str":
         return p
     return '"' + p.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
@@ -189,12 +193,25 @@ def _scalar(p) -> str:
 def dump_space(spec: SpaceSpec) -> str:
     """Emit a space document; loading it back reproduces the tables to 12
     significant digits."""
-    lines = ["points: [" + ", ".join(_scalar(p) for p in spec.points) + "]"]
+    resolve = None
+    if any(isinstance(p, str) for p in spec.points):  # only string ids need YAML's resolver
+        import yaml
+
+        # the tag yaml.safe_load gives a plain scalar
+        resolve = partial(yaml.resolver.Resolver().resolve, yaml.ScalarNode, implicit=(True, False))
+    lines = ["points: [" + ", ".join(_scalar(p, resolve) for p in spec.points) + "]"]
     for key, table in (("dist", spec.dist), ("alpha", spec.alpha)):
         lines.append(f"{key}:")
         for row in table:
             lines.append("- [" + ", ".join(format_real(v) for v in row) + "]")
     return "\n".join(lines) + "\n"
+
+
+def dump_document(doc: dict) -> str:
+    """A structured YAML document, keys in insertion order."""
+    import yaml
+
+    return yaml.safe_dump(doc, sort_keys=False)
 
 
 def parse_sequence_literal(text: str, space: ControlledSpace) -> EpSequence:

@@ -357,22 +357,14 @@ def paper_example_spec(n: int) -> SpaceSpec:
     """
     if n < 2:
         raise ValueError(f"need at least 2 points, got {n}")
-    points = tuple(range(1, n + 1))
-    dist = np.zeros((n, n))
-    alpha = np.ones((n, n))
-    for i, x in enumerate(points):
-        for j, y in enumerate(points):
-            if x == y:
-                continue
-            if x % 2 == 0 and y % 2 == 1:
-                dist[i, j] = 1.0 / math.sqrt(x)
-                alpha[i, j] = math.sqrt(x)
-            elif x % 2 == 1 and y % 2 == 0:
-                dist[i, j] = 1.0 / math.sqrt(y)
-                alpha[i, j] = math.sqrt(y)
-            else:
-                dist[i, j] = 1.0
-    return SpaceSpec(points=points, dist=dist, alpha=alpha)
+    x = np.arange(1, n + 1)
+    even = x % 2 == 0
+    mixed = even[:, None] != even[None, :]
+    root = np.sqrt(np.where(even[:, None], x[:, None], x[None, :]))  # sqrt(even argument)
+    dist = np.where(mixed, 1.0 / root, 1.0)
+    np.fill_diagonal(dist, 0.0)
+    alpha = np.where(mixed, root, 1.0)
+    return SpaceSpec(points=tuple(range(1, n + 1)), dist=dist, alpha=alpha)
 
 
 @dataclass(frozen=True)

@@ -17,9 +17,9 @@ from itertools import combinations
 from typing import Optional, Sequence
 
 import numpy as np
-import yaml
 
 from . import spaces
+from .fileformat import dump_document
 from .rough import cluster_points, critical_roughness, derived_set, rough_limit_set
 from .sequences import (
     EpSequence,
@@ -327,6 +327,8 @@ class FuzzConfig:
             raise ValueError("trials must be >= 1")
         if min(self.max_points, self.max_cycle, self.max_prefix) < 1:
             raise ValueError("max_points, max_cycle and max_prefix must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.r_grid is not None:
             grid = tuple(float(r) for r in self.r_grid)
             if not all(math.isfinite(r) and r >= 0 for r in grid):
@@ -463,4 +465,4 @@ def render_summary(summary: FuzzSummary) -> str:
             "witnesses": [dict(w) for w in summary.witnesses],
         },
     }
-    return yaml.safe_dump(doc, sort_keys=False)
+    return dump_document(doc)

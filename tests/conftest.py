@@ -1,6 +1,7 @@
 import pytest
+import yaml
 
-from roughmetric import EpSequence, build_space, fileformat, paper_example_spec
+from roughmetric import EpSequence, build_space, paper_example_spec
 
 
 @pytest.fixture(scope="session")
@@ -28,7 +29,7 @@ def xi():
 def yaml_parser(request, monkeypatch):
     """Each parser path of ``load_space``: libyaml, and the pure-Python parser."""
     if request.param == "pure":
-        monkeypatch.setattr(fileformat, "_LIBYAML", None)
-    elif fileformat._LIBYAML is None:
+        monkeypatch.setattr(yaml, "CSafeLoader", None)
+    elif getattr(yaml, "CSafeLoader", None) is None:
         pytest.skip("this PyYAML is built without libyaml")
     return request.param

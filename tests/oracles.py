@@ -34,6 +34,25 @@ def axiom_violations_bruteforce(spec) -> set:
     return out
 
 
+def paper_example_bruteforce(n: int) -> tuple:
+    """(dist, alpha) of the parity space on {1, .., n}, entry by entry."""
+    dist = np.zeros((n, n))
+    alpha = np.ones((n, n))
+    for i, x in enumerate(range(1, n + 1)):
+        for j, y in enumerate(range(1, n + 1)):
+            if x == y:
+                continue
+            if x % 2 == 0 and y % 2 == 1:
+                dist[i, j] = 1.0 / math.sqrt(x)
+                alpha[i, j] = math.sqrt(x)
+            elif x % 2 == 1 and y % 2 == 0:
+                dist[i, j] = 1.0 / math.sqrt(y)
+                alpha[i, j] = math.sqrt(y)
+            else:
+                dist[i, j] = 1.0
+    return dist, alpha
+
+
 def d3_witnesses_bruteforce(spec) -> list:
     """(d3) witnesses as (points, lhs, rhs), in lexicographic (x, y, z) order."""
     d, a, pts = spec.dist, spec.alpha, spec.points

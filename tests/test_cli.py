@@ -258,6 +258,13 @@ def test_fuzz_rejects_bad_config():
     assert run("fuzz", "--trials", "0").exit_code == 2
 
 
+def test_fuzz_negative_seed_is_usage_error():
+    result = run("fuzz", "--trials", "2", "--seed", "-1")
+    assert result.exit_code == 2
+    assert "seed must be >= 0" in result.output
+    assert "Traceback" not in result.output
+
+
 # --- emit ---
 
 def test_emit_round_trips(tmp_path):

@@ -20,7 +20,6 @@ from roughmetric import (
     SpaceSpec,
     build_space,
     dump_space,
-    fileformat,
     load_space,
     paper_example_spec,
     parse_real,
@@ -131,12 +130,12 @@ def test_missing_or_misshapen_tables_are_shape_errors():
 
 # --- the two parser paths ---
 
-needs_libyaml = pytest.mark.skipif(fileformat._LIBYAML is None,
+needs_libyaml = pytest.mark.skipif(getattr(yaml, "CSafeLoader", None) is None,
                                    reason="this PyYAML is built without libyaml")
 
 
 def _recording_loader(calls, fail=None):
-    class Loader(fileformat._LIBYAML):
+    class Loader(yaml.CSafeLoader):
         def __init__(self, stream):
             calls.append(stream)
             if fail is not None:
@@ -148,7 +147,7 @@ def _recording_loader(calls, fail=None):
 @needs_libyaml
 def test_libyaml_reads_dumped_documents(monkeypatch):
     calls = []
-    monkeypatch.setattr(fileformat, "_LIBYAML", _recording_loader(calls))
+    monkeypatch.setattr(yaml, "CSafeLoader", _recording_loader(calls))
     text = dump_space(random_space(np.random.default_rng(5), 6).spec)
     load_space(text)
     assert calls == [text]
@@ -160,7 +159,7 @@ def test_libyaml_reads_dumped_documents(monkeypatch):
 @pytest.mark.parametrize("error", [IndexError("libyaml"), yaml.YAMLError("libyaml")])
 def test_libyaml_failure_falls_back_to_the_pure_parser(monkeypatch, error):
     calls = []
-    monkeypatch.setattr(fileformat, "_LIBYAML", _recording_loader(calls, fail=error))
+    monkeypatch.setattr(yaml, "CSafeLoader", _recording_loader(calls, fail=error))
     spec = load_space(TWO_POINT_DOC)
     assert calls == [TWO_POINT_DOC]
     assert spec.points == ("a", "b") and spec.alpha[0, 1] == math.sqrt(2)
@@ -220,7 +219,7 @@ def test_both_parser_paths_give_the_same_outcome(base, edits):
     text = _mutate(base, edits)
     with pytest.MonkeyPatch.context() as mp:
         libyaml = _outcome(text)
-        mp.setattr(fileformat, "_LIBYAML", None)
+        mp.setattr(yaml, "CSafeLoader", None)
         pure = _outcome(text)
     if pure != ("LoadError", "document is nested too deeply"):
         assert libyaml == pure

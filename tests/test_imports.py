@@ -1,11 +1,16 @@
-"""Every name a ``roughmetric`` module imports is read somewhere in it."""
+"""What importing ``roughmetric`` costs: every name a module imports is read
+somewhere in it, and PyYAML is not loaded until a document is read or written."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-SOURCES = sorted(p for p in (Path(__file__).parent.parent / "src" / "roughmetric").glob("*.py")
+SRC = Path(__file__).parent.parent / "src"
+SOURCES = sorted(p for p in (SRC / "roughmetric").glob("*.py")
                  if p.name != "__init__.py")
 
 
@@ -26,3 +31,11 @@ def _unused_imports(tree: ast.Module) -> list[str]:
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert _unused_imports(ast.parse(path.read_text())) == []
+
+
+def test_importing_the_library_loads_no_yaml():
+    code = ("import sys\nimport roughmetric, roughmetric.cli\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] in ('yaml', '_yaml')))\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(SRC.resolve())}, timeout=120)
+    assert (proc.returncode, proc.stdout) == (0, "[]\n")

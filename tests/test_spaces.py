@@ -20,7 +20,7 @@ from roughmetric import spaces
 from roughmetric.spaces import TOLERANCE_ENV_VAR, _read_tolerance
 
 import oracles
-from oracles import axiom_violations_bruteforce, d3_witnesses_bruteforce
+from oracles import axiom_violations_bruteforce, d3_witnesses_bruteforce, paper_example_bruteforce
 
 SQRT2 = math.sqrt(2)
 
@@ -54,6 +54,15 @@ def test_paper_example_table_values():
     assert a(3, 4) == 2.0
     assert a(2, 2) == 1.0
     assert all(d(x, x) == 0 for x in spec.points)
+
+
+@pytest.mark.parametrize("n", [*range(2, 65), 200])
+def test_paper_example_matches_its_definition_bit_for_bit(n):
+    spec = paper_example_spec(n)
+    dist, alpha = paper_example_bruteforce(n)
+    assert spec.points == tuple(range(1, n + 1))
+    assert spec.dist.tobytes() == dist.tobytes()
+    assert spec.alpha.tobytes() == alpha.tobytes()
 
 
 def test_paper_example_rejects_small_n():

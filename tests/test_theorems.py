@@ -317,6 +317,8 @@ def test_fuzz_config_validation():
         FuzzConfig(trials=0)
     with pytest.raises(ValueError):
         FuzzConfig(max_points=0)
+    with pytest.raises(ValueError, match="seed"):
+        FuzzConfig(seed=-1)
     with pytest.raises(ValueError):
         FuzzConfig(r_grid=(-1.0,))
     for r in (math.inf, math.nan):
