@@ -6,17 +6,21 @@ as literals like ``2,3`` (a cycle) or ``7|2,3`` (prefix, then cycle).
 
 Exit codes: 0 success/valid, 1 axiom violation or theorem failure,
 2 usage or parse error. The boundary tolerance (default 1e-9) can be
-overridden through the ROUGHMETRIC_TOL environment variable.
+overridden through the ROUGHMETRIC_TOL environment variable, read when a
+command starts: a value that is not a finite float >= 0 is a usage error.
+Library code sets ``roughmetric.spaces.TOLERANCE`` directly instead.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import re
 from pathlib import Path
 
 import click
 
+from . import spaces
 from .fileformat import (
     LoadError,
     dump_document,
@@ -43,12 +47,20 @@ from .theorems import FuzzConfig, TheoremReport, default_r_grid, fuzz, render_su
 
 _PAPER_EXAMPLE = re.compile(r"^paper-example[:\s]+(\d+)$")
 
+#: Largest N accepted for ``paper-example:N``. Building and validating the
+#: family keeps a few n x n float tables alive: peak RSS grows as about
+#: 42 B * N^2 (671 MB at N = 4,000), so N = 5,000 already needs about 1 GB.
+_PAPER_EXAMPLE_MAX = 5_000
+
 
 def _load_spec(source: str) -> SpaceSpec:
     m = _PAPER_EXAMPLE.match(source.strip())
     if m:
         try:
-            return paper_example_spec(int(m.group(1)))
+            n = int(m.group(1))
+            if n > _PAPER_EXAMPLE_MAX:
+                raise ValueError(f"paper-example:N takes N <= {_PAPER_EXAMPLE_MAX}, got {n}")
+            return paper_example_spec(n)
         except ValueError as exc:
             raise click.UsageError(str(exc))
     path = Path(source)
@@ -125,6 +137,16 @@ format_option = click.option(
 @click.group()
 def main():
     """Controlled metric type spaces and rough-convergence analysis."""
+    raw = os.environ.get("ROUGHMETRIC_TOL")
+    if raw is None:
+        return
+    try:
+        tol = float(raw)
+    except ValueError:
+        raise click.UsageError(f"ROUGHMETRIC_TOL must be a float, got {raw!r}")
+    if not (tol >= 0 and math.isfinite(tol)):
+        raise click.UsageError(f"ROUGHMETRIC_TOL must be finite and >= 0, got {tol}")
+    spaces.TOLERANCE = tol
 
 
 @main.command()
@@ -213,7 +235,10 @@ def limset(space_source: str, seq_literal: str, r_value: str, fmt: str):
     """The rough limit set of one sequence at one roughness degree."""
     space = _build(_load_spec(space_source))
     seq = _sequence(space, seq_literal)
-    r = _r_values(r_value)[0]
+    degrees = _r_values(r_value)
+    if len(degrees) > 1:
+        raise click.UsageError(f"--r takes one degree, got {r_value}")
+    r = degrees[0]
     members = rough_limit_set(seq, space, r).members
     if fmt == "structured":
         _echo_yaml({"r": r, "members": [str(p) for p in space.ordered(members)]})

@@ -14,9 +14,8 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from . import spaces
-from .sequences import EpSequence, _require_points, _unknown_points
-from .spaces import ControlledSpace
+from .sequences import EpSequence, _require_points, limsup_vector
+from .spaces import ControlledSpace, leq
 
 
 @dataclass(frozen=True)
@@ -32,26 +31,18 @@ class RoughLimitSet:
         return self.space.ordered(self.members)
 
 
-def _limsup_vector(seq: EpSequence, space: ControlledSpace) -> np.ndarray:
-    """limsup distances from the sequence to every point, in point order."""
-    _require_points(seq, space)
-    return space.row_max(seq.tail_set)
-
-
 def is_rough_limit(seq: EpSequence, space: ControlledSpace, x, r: float) -> bool:
     """Whether x is a rough limit of degree r (closed boundary, tolerant)."""
     if r < 0:
         raise ValueError(f"roughness degree must be >= 0, got {r}")
-    if not space.contains_all(seq.value_set):
-        raise _unknown_points(seq, space)
-    return space.row_max(seq.tail_set).item(space.index(x)) <= r + spaces.TOLERANCE
+    return leq(limsup_vector(seq, space).item(space.index(x)), r)
 
 
 def rough_limit_set(seq: EpSequence, space: ControlledSpace, r: float) -> RoughLimitSet:
     """Exhaustive membership scan over all points of the space."""
     if r < 0:
         raise ValueError(f"roughness degree must be >= 0, got {r}")
-    hit = _limsup_vector(seq, space) <= r + spaces.TOLERANCE
+    hit = leq(limsup_vector(seq, space), r)
     members = frozenset(space.points[i] for i in np.flatnonzero(hit))
     return RoughLimitSet(r=float(r), members=members, sequence=seq, space=space)
 
@@ -67,7 +58,7 @@ def critical_roughness(seq: EpSequence, space: ControlledSpace) -> CriticalRough
     On a finite space the infimum is attained: it is the minimum over x of
     limsup_distance(seq, space, x). Minimizers are returned in point order.
     """
-    limsups = _limsup_vector(seq, space)
+    limsups = limsup_vector(seq, space)
     r_star = limsups.min()
     minimizers = tuple(space.points[i] for i in np.flatnonzero(limsups == r_star))
     return CriticalRoughness(value=float(r_star), minimizers=minimizers)

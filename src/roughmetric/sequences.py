@@ -13,6 +13,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
+import numpy as np
+
 from .spaces import ControlledSpace, diameter
 
 
@@ -69,16 +71,23 @@ def _require_points(seq: EpSequence, space: ControlledSpace) -> None:
         raise _unknown_points(seq, space)
 
 
-def limsup_distance(seq: EpSequence, space: ControlledSpace, x) -> float:
-    """limsup_n d(x_n, x), exact for eventually periodic sequences.
+def limsup_vector(seq: EpSequence, space: ControlledSpace) -> np.ndarray:
+    """limsup_n d(x_n, x) for every x in point order, exact for eventually
+    periodic sequences. Cached on the space and read-only.
 
     Equals the max of d(v, x) over the cycle values: each recurs with bounded
     gap and the prefix is finite, so it is both an eventual upper bound and is
     approached infinitely often.
     """
+    # Checked inline, not through _require_points: every rough query calls this.
     if not space.contains_all(seq.value_set):
         raise _unknown_points(seq, space)
-    return space.row_max(seq.tail_set).item(space.index(x))
+    return space.row_max(seq.tail_set)
+
+
+def limsup_distance(seq: EpSequence, space: ControlledSpace, x) -> float:
+    """limsup_n d(x_n, x): the entry of :func:`limsup_vector` at x."""
+    return limsup_vector(seq, space).item(space.index(x))
 
 
 def is_convergent(seq: EpSequence, space: ControlledSpace) -> Optional[object]:

@@ -14,7 +14,6 @@ immutable validated spaces, and provides ball / diameter / restriction queries.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 from typing import Hashable, Iterable
 
@@ -22,27 +21,11 @@ import numpy as np
 
 PointId = Hashable
 
-DEFAULT_TOLERANCE = 1e-9
-TOLERANCE_ENV_VAR = "ROUGHMETRIC_TOL"
-
-
-def _read_tolerance() -> float:
-    raw = os.environ.get(TOLERANCE_ENV_VAR)
-    if raw is None:
-        return DEFAULT_TOLERANCE
-    try:
-        tol = float(raw)
-    except ValueError as exc:
-        raise ValueError(f"{TOLERANCE_ENV_VAR} must be a float, got {raw!r}") from exc
-    if not (tol >= 0 and math.isfinite(tol)):
-        raise ValueError(f"{TOLERANCE_ENV_VAR} must be finite and >= 0, got {tol}")
-    return tol
-
-
 #: Absolute slack applied to inequality boundaries only: ``a <= b`` is tested
 #: as ``a <= b + TOLERANCE`` and ``a < b`` as ``a < b - TOLERANCE``.
-#: Equalities (zero diagonal, symmetry) are always exact.
-TOLERANCE = _read_tolerance()
+#: Equalities (zero diagonal, symmetry) are always exact. Only this module
+#: reads it; the command line sets it from ``ROUGHMETRIC_TOL`` on start.
+TOLERANCE = 1e-9
 
 #: Target element count of one block of the (d3) scan. A block holds whole x
 #: rows (n^2 triples each), so the scan's buffers take O(n^2) memory.
@@ -53,7 +36,7 @@ _ROW_MAX_CACHE = 256
 
 
 def leq(a: float, b: float) -> bool:
-    """Tolerant ``a <= b``."""
+    """Tolerant ``a <= b``, elementwise on arrays."""
     return a <= b + TOLERANCE
 
 
@@ -383,7 +366,7 @@ def ball(space: ControlledSpace, center, radius: float, kind: str = "open") -> B
         raise ValueError(f"radius must be >= 0, got {radius}")
     row = space.dist[space.index(center)]
     if kind == "closed":
-        hit = row <= radius + TOLERANCE
+        hit = leq(row, radius)
     else:
         hit = row < radius - TOLERANCE
     members = frozenset(space.points[i] for i in np.flatnonzero(hit))

@@ -18,7 +18,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import spaces
 from .fileformat import dump_document
 from .rough import cluster_points, critical_roughness, derived_set, rough_limit_set
 from .sequences import (
@@ -128,7 +127,7 @@ def check_derived_set(space: ControlledSpace, seq: EpSequence, r: float) -> Theo
     derived = derived_set(space, lim_r)
     lim_rk = rough_limit_set(seq, space, r * space.sup_alpha).members
     passed = derived <= lim_rk
-    control_is_one = space.sup_alpha <= 1.0 + spaces.TOLERANCE
+    control_is_one = leq(space.sup_alpha, 1.0)
     closed_ok = derived <= lim_r if control_is_one else None
     witness = None
     if not passed:

@@ -9,7 +9,7 @@ import yaml
 from click.testing import CliRunner
 
 import roughmetric
-from roughmetric import load_space, paper_example_spec
+from roughmetric import load_space, paper_example_spec, spaces
 from roughmetric.cli import main
 
 BROKEN_DOC = """\
@@ -41,6 +41,14 @@ def test_validate_accepts_spaced_builtin():
 
 def test_validate_rejects_builtin_below_two():
     assert run("validate", "paper-example:1").exit_code == 2
+
+
+@pytest.mark.parametrize("n", ["5001", "99999999999"])
+def test_validate_rejects_builtin_too_large_to_hold(n):
+    result = run("validate", f"paper-example:{n}")
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)  # no traceback escaped
+    assert f"paper-example:N takes N <= 5000, got {n}" in result.output
 
 
 def test_validate_reports_violations(tmp_path):
@@ -211,6 +219,12 @@ def test_limset_golden():
     assert result.output.strip() == "rough limit set (r = 0.707106781187): {2, 3}"
 
 
+def test_limset_rejects_more_than_one_degree():
+    result = run("limset", "paper-example:4", "--seq", "2,3", "--r", "1,2")
+    assert result.exit_code == 2
+    assert "--r takes one degree, got 1,2" in result.output
+
+
 def test_limset_structured():
     result = run("limset", "paper-example:6", "--seq", "2,3", "--r", "1",
                  "--format", "structured")
@@ -311,3 +325,65 @@ def test_string_point_space_end_to_end(tmp_path):
     assert "critical roughness: 1 (minimizers {hub})" in result.output
     assert "rough limit set (r = 2): {hub, east, west}" in result.output
     assert run("theorems", str(doc), "--seq", "east,west").exit_code == 0
+
+
+# --- ROUGHMETRIC_TOL ---
+
+D3_OVER_BY_5E7 = """\
+points: [a, b, c]
+dist:
+- [0, 2.0000005, 1]
+- [2.0000005, 0, 1]
+- [1, 1, 0]
+alpha:
+- [1, 1, 1]
+- [1, 1, 1]
+- [1, 1, 1]
+"""
+
+
+@pytest.mark.parametrize("raw, message", [
+    ("abc", "ROUGHMETRIC_TOL must be a float, got 'abc'"),
+    ("", "ROUGHMETRIC_TOL must be a float, got ''"),
+    ("-1", "ROUGHMETRIC_TOL must be finite and >= 0, got -1.0"),
+    ("inf", "ROUGHMETRIC_TOL must be finite and >= 0, got inf"),
+    ("nan", "ROUGHMETRIC_TOL must be finite and >= 0, got nan"),
+])
+def test_bad_tolerance_is_usage_error(raw, message):
+    # A real process: the variable used to be read while the library was imported.
+    src = str(Path(roughmetric.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src, "ROUGHMETRIC_TOL": raw}
+    proc = subprocess.run([sys.executable, "-m", "roughmetric.cli", "validate", "paper-example:3"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2
+    assert message in proc.stderr
+    assert "Traceback" not in proc.stdout + proc.stderr
+
+
+@pytest.fixture
+def tolerance_env(monkeypatch):
+    """Set ROUGHMETRIC_TOL for in-process runs; spaces.TOLERANCE is restored after."""
+    monkeypatch.setattr(spaces, "TOLERANCE", spaces.TOLERANCE)
+    monkeypatch.delenv("ROUGHMETRIC_TOL", raising=False)
+    return lambda raw: monkeypatch.setenv("ROUGHMETRIC_TOL", raw)
+
+
+def test_tolerance_flips_validate(tmp_path, tolerance_env):
+    doc = tmp_path / "over.space"
+    doc.write_text(D3_OVER_BY_5E7)
+    result = run("validate", str(doc))
+    assert result.exit_code == 1
+    assert "axiom d3 fails at (a, b, c)" in result.output
+    assert spaces.TOLERANCE == 1e-9  # unset: the default is kept
+    tolerance_env("1e-6")
+    result = run("validate", str(doc))
+    assert (result.exit_code, result.output) == (0, "valid controlled metric type space (3 points)\n")
+    assert spaces.TOLERANCE == 1e-6
+
+
+def test_tolerance_flips_rough_limit_set(tolerance_env):
+    # Both limsups of 2,3 are 1/sqrt(2), 6.8e-6 above r.
+    args = ("limset", "paper-example:4", "--seq", "2,3", "--r", "0.7071")
+    assert run(*args).output == "rough limit set (r = 0.7071): {}\n"
+    tolerance_env("1e-5")
+    assert run(*args).output == "rough limit set (r = 0.7071): {2, 3}\n"

@@ -1,5 +1,6 @@
 """What importing ``roughmetric`` costs: every name a module imports is read
-somewhere in it, and PyYAML is not loaded until a document is read or written."""
+somewhere in it, and PyYAML is not loaded until a document is read or written.
+Also who reads the tolerance: ``spaces`` alone."""
 
 import ast
 import os
@@ -39,3 +40,21 @@ def test_importing_the_library_loads_no_yaml():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": str(SRC.resolve())}, timeout=120)
     assert (proc.returncode, proc.stdout) == (0, "[]\n")
+
+
+def _reads_tolerance(node: ast.AST) -> bool:
+    """Whether ``node`` loads or imports the name ``TOLERANCE``; assigning it is no read."""
+    if isinstance(node, ast.ImportFrom):
+        return any(alias.name == "TOLERANCE" for alias in node.names)
+    if isinstance(node, ast.Name):
+        return node.id == "TOLERANCE" and isinstance(node.ctx, ast.Load)
+    if isinstance(node, ast.Attribute):
+        return node.attr == "TOLERANCE" and isinstance(node.ctx, ast.Load)
+    return False
+
+
+def test_only_spaces_reads_the_tolerance():
+    reads = [f"{path.name}:{node.lineno}"
+             for path in sorted((SRC / "roughmetric").glob("*.py")) if path.name != "spaces.py"
+             for node in ast.walk(ast.parse(path.read_text())) if _reads_tolerance(node)]
+    assert reads == []

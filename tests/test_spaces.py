@@ -17,7 +17,6 @@ from roughmetric import (
     validate_axioms,
 )
 from roughmetric import spaces
-from roughmetric.spaces import TOLERANCE_ENV_VAR, _read_tolerance
 
 import oracles
 from oracles import axiom_violations_bruteforce, d3_witnesses_bruteforce, paper_example_bruteforce
@@ -573,17 +572,3 @@ def test_restrict_always_validates(sub):
     assert validate_axioms(space.spec).valid
     assert set(space.points) == sub
 
-
-# --- tolerance configuration ---
-
-def test_tolerance_env_parsing(monkeypatch):
-    monkeypatch.delenv(TOLERANCE_ENV_VAR, raising=False)
-    assert _read_tolerance() == 1e-9
-    monkeypatch.setenv(TOLERANCE_ENV_VAR, "1e-6")
-    assert _read_tolerance() == 1e-6
-    monkeypatch.setenv(TOLERANCE_ENV_VAR, "banana")
-    with pytest.raises(ValueError):
-        _read_tolerance()
-    monkeypatch.setenv(TOLERANCE_ENV_VAR, "-1")
-    with pytest.raises(ValueError):
-        _read_tolerance()
