@@ -9,6 +9,9 @@ Exit codes: 0 success/valid, 1 axiom violation or theorem failure,
 overridden through the ROUGHMETRIC_TOL environment variable, read when a
 command starts: a value that is not a finite float >= 0 is a usage error.
 Library code sets ``roughmetric.spaces.TOLERANCE`` directly instead.
+``fuzz`` takes ``--max-points`` <= 200 and ``--max-cycle``, ``--max-prefix``
+<= 10,000 (larger values are a usage error); trial i draws from
+``SeedSequence(seed).spawn(trials)[i]``.
 """
 
 from __future__ import annotations

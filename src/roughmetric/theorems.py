@@ -190,9 +190,11 @@ def check_shadowing(space: ControlledSpace, seq_a: EpSequence, seq_b: EpSequence
                     r: float) -> TheoremReport:
     """If seq_a converges to xi and stays within r/k of seq_b termwise
     (eventually), then xi is a rough limit of seq_b with degree r."""
-    if r <= 0:
-        raise ValueError(f"shadowing check needs r > 0, got {r}")
+    if r < 0:
+        raise ValueError(f"roughness degree must be >= 0, got {r}")
     params = {"space": space, "seq_a": seq_a, "seq_b": seq_b, "r": r}
+    if r == 0:
+        return _na(TheoremId.T_SHADOW, params, "degree r = 0 is outside the theorem hypothesis r > 0")
     xi = is_convergent(seq_a, space)
     if xi is None:
         return _na(TheoremId.T_SHADOW, params, "first sequence is not convergent")
@@ -212,10 +214,12 @@ def check_shadowing(space: ControlledSpace, seq_a: EpSequence, seq_b: EpSequence
 
 
 def check_limitset_sequence(space: ControlledSpace, seq: EpSequence, r: float,
-                            probe: EpSequence) -> TheoremReport:
+                            probe: Optional[EpSequence]) -> TheoremReport:
     """A convergent sequence living inside the degree-r rough limit set has its
     limit in the degree-(r k) rough limit set of the original sequence."""
     params = {"space": space, "seq": seq, "r": r, "probe": probe}
+    if probe is None:
+        return _na(TheoremId.T_LIMSET_SEQ, params, "empty rough limit set admits no probe sequence")
     lim_r = rough_limit_set(seq, space, r).members
     if not probe.value_set <= lim_r:
         return _na(TheoremId.T_LIMSET_SEQ, params, "probe leaves the rough limit set")
@@ -269,10 +273,6 @@ _PER_DEGREE = tuple(_CHECKS)[:-1]
 
 def _run(theorem_id: TheoremId, params: dict) -> TheoremReport:
     """Run one check from its report params (the single path of run_all and rerun)."""
-    if theorem_id is TheoremId.T_SHADOW and params["r"] <= 0:
-        return _na(theorem_id, params, "degree r = 0 is outside the theorem hypothesis r > 0")
-    if theorem_id is TheoremId.T_LIMSET_SEQ and params["probe"] is None:
-        return _na(theorem_id, params, "empty rough limit set admits no probe sequence")
     return globals()[_CHECKS[theorem_id]](**params)
 
 
@@ -292,10 +292,10 @@ def run_all(space: ControlledSpace, seq: EpSequence, r_grid: Sequence[float],
     second member once, then its first forever.
     """
     reports: list[TheoremReport] = []
+    c0 = space.ordered(cluster_points(seq, space))[0]
     for r in r_grid:
         members = rough_limit_set(seq, space, r).ordered()
         probe = EpSequence(prefix=members[1:2], cycle=members[:1]) if members else None
-        c0 = space.ordered(cluster_points(seq, space))[0]
         base = {"space": space, "seq": seq, "r": r}
         special = {
             TheoremId.T_SUBSEQ: {**base, "offset": offset, "stride": stride},
@@ -310,6 +310,15 @@ def run_all(space: ControlledSpace, seq: EpSequence, r_grid: Sequence[float],
 
 
 # --- randomized generation and the fuzz harness ---
+
+#: Largest ``max_points`` a fuzz run accepts. ``random_space`` keeps two n^3
+#: float tables alive, about 16 B * n^3 (128 MB at n = 200), and n = 1,000
+#: would already need 16 GB.
+_FUZZ_MAX_POINTS = 200
+#: Largest ``max_cycle`` and ``max_prefix``. ``random_sequence`` draws all
+#: their terms in one array and the checks walk them term by term, so memory
+#: and time grow with the length; a trial at this bound takes under 0.1 s.
+_FUZZ_MAX_TERMS = 10_000
 
 
 @dataclass(frozen=True)
@@ -326,6 +335,11 @@ class FuzzConfig:
             raise ValueError("trials must be >= 1")
         if min(self.max_points, self.max_cycle, self.max_prefix) < 1:
             raise ValueError("max_points, max_cycle and max_prefix must be >= 1")
+        if self.max_points > _FUZZ_MAX_POINTS:
+            raise ValueError(f"max_points must be <= {_FUZZ_MAX_POINTS}, got {self.max_points}")
+        if max(self.max_cycle, self.max_prefix) > _FUZZ_MAX_TERMS:
+            raise ValueError(f"max_cycle and max_prefix must be <= {_FUZZ_MAX_TERMS}, "
+                             f"got {self.max_cycle}, {self.max_prefix}")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
         if self.r_grid is not None:
@@ -348,14 +362,11 @@ def random_space(rng: np.random.Generator, max_points: int) -> ControlledSpace:
     draw = rng.uniform(0.1, 10.0, size=(n, n))
     d = np.triu(draw, 1)
     d = d + d.T
-    if n >= 3:
-        denom = d[:, None, :] + d.T[None, :, :]  # denom[x, y, z] = d(x,z) + d(z,y)
-        eye = np.eye(n, dtype=bool)
-        valid = ~eye[:, :, None] & ~eye[:, None, :] & ~eye.T[None, :, :]
-        ratios = np.where(valid, d[:, :, None] / np.where(valid, denom, 1.0), 0.0)
-        k_floor = float(ratios.max())
-    else:
-        k_floor = 1.0
+    denom = d[:, None, :] + d.T[None, :, :]  # denom[x, y, z] = d(x,z) + d(z,y)
+    idx = np.arange(n)
+    denom[idx, :, idx] = np.inf  # z = x: the ratio is 0
+    denom[:, idx, idx] = np.inf  # z = y
+    k_floor = float((d[:, :, None] / denom).max())
     alpha = max(1.0, k_floor) * (1.0 + rng.uniform(0.0, 1.0, size=(n, n)))
     spec = SpaceSpec(points=tuple(range(1, n + 1)), dist=d, alpha=alpha)
     return build_space(spec)
@@ -398,14 +409,13 @@ def fuzz(config: FuzzConfig) -> FuzzSummary:
     do not depend on execution order) and runs :func:`run_all` on a fresh
     random space and sequence. Deterministic for a given config.
     """
-    root = np.random.SeedSequence(config.seed)
-    children = root.spawn(config.trials)
     per_theorem = {tid: {"pass": 0, "not_applicable": 0, "fail": 0} for tid in TheoremId}
     witnesses: list[dict] = []
     checks_total = 0
     max_ratio: Optional[float] = None
-    for trial, child in enumerate(children):
-        rng = np.random.default_rng(child)
+    for trial in range(config.trials):
+        # SeedSequence(seed).spawn(trials)[trial], without holding every child
+        rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(trial,)))
         space = random_space(rng, config.max_points)
         seq = random_sequence(rng, space.points, config.max_prefix, config.max_cycle)
         offset = int(rng.integers(1, 4))

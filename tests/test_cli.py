@@ -279,6 +279,18 @@ def test_fuzz_negative_seed_is_usage_error():
     assert "Traceback" not in result.output
 
 
+@pytest.mark.parametrize("flag, bound", [
+    ("--max-points", 200), ("--max-cycle", 10_000), ("--max-prefix", 10_000),
+])
+def test_fuzz_size_above_bound_is_usage_error(flag, bound):
+    for value in (bound + 1, 10**12):
+        result = run("fuzz", "--trials", "1", flag, str(value))
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)  # no traceback escaped
+        assert "Traceback" not in result.output
+        assert f"<= {bound}" in result.output
+
+
 # --- emit ---
 
 def test_emit_round_trips(tmp_path):

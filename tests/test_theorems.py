@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -144,8 +145,11 @@ def test_shadowing_hypothesis_filters(paper4, xi):
     assert not far.applicable
     assert "exceeds" in far.details["reason"]
 
+    zero = check_shadowing(paper4, xi, xi, 0.0)
+    assert zero.passed and not zero.applicable
+    assert zero.details["reason"] == "degree r = 0 is outside the theorem hypothesis r > 0"
     with pytest.raises(ValueError):
-        check_shadowing(paper4, xi, xi, 0.0)
+        check_shadowing(paper4, xi, xi, -1.0)
 
 
 def test_limitset_sequence_check(paper4, xi):
@@ -266,8 +270,27 @@ def test_rerun_keeps_the_hypothesis_guards(paper10, xi):
     for rep in guarded.values():
         assert not rep.applicable
         assert rerun(rep).details["reason"] == rep.details["reason"]
+    shadow = guarded[TheoremId.T_SHADOW]
+    assert check_shadowing(**shadow.params).details == shadow.details
     with pytest.raises(ValueError):
-        check_shadowing(**guarded[TheoremId.T_SHADOW].params)
+        check_shadowing(**{**shadow.params, "r": -1.0})
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_every_report_replays_through_its_own_check(seed):
+    rng = np.random.default_rng(seed)
+    space = random_space(rng, 8)
+    seq = random_sequence(rng, space.points, 3, 4)
+    grid = default_r_grid(space, seq)
+    assert grid[0] == 0.0  # r = 0 reaches the shadowing guard
+    reports = run_all(space, seq, grid)
+    # the degree-0 limit set of a non-convergent sequence is empty: no probe
+    assert any(rep.params.get("probe", ...) is None for rep in reports)
+    for rep in reports:
+        direct = getattr(theorems, theorems._CHECKS[rep.theorem_id])(**rep.params)
+        again = rerun(rep)
+        assert (direct.passed, direct.applicable, direct.witness, direct.details) == \
+            (again.passed, again.applicable, again.witness, again.details)
 
 
 # --- random generation ---
@@ -317,6 +340,10 @@ def test_fuzz_config_validation():
         FuzzConfig(trials=0)
     with pytest.raises(ValueError):
         FuzzConfig(max_points=0)
+    for field, bound in (("max_points", 200), ("max_cycle", 10_000), ("max_prefix", 10_000)):
+        FuzzConfig(trials=1, **{field: bound})
+        with pytest.raises(ValueError, match=f"<= {bound}"):
+            FuzzConfig(trials=1, **{field: bound + 1})
     with pytest.raises(ValueError, match="seed"):
         FuzzConfig(seed=-1)
     with pytest.raises(ValueError):
@@ -356,6 +383,28 @@ def test_fuzz_is_reproducible_and_seed_sensitive():
     assert first == second
     other = render_summary(fuzz(FuzzConfig(trials=60, seed=124)))
     assert other != first
+
+
+def test_fuzz_summary_digest_is_pinned():
+    text = render_summary(fuzz(FuzzConfig(trials=300, seed=0)))
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "dbbda2d4cd30d972193a9fc075e9ef8135da56a5249ed7dd095c0e22a9b72844"
+
+
+@pytest.mark.parametrize("seed, trials, trial", [(0, 300, 0), (0, 300, 299), (7, 5, 3), (2**40, 12, 11)])
+def test_fuzz_trial_stream_is_the_spawned_child(monkeypatch, seed, trials, trial):
+    drawn = []
+    original = theorems.random_space
+
+    def recording(rng, max_points):
+        drawn.append(rng.bit_generator.state)
+        return original(rng, max_points)
+
+    monkeypatch.setattr(theorems, "random_space", recording)
+    monkeypatch.setattr(theorems, "run_all", lambda *args, **kwargs: [])
+    fuzz(FuzzConfig(trials=trial + 1, seed=seed))
+    child = np.random.SeedSequence(seed).spawn(trials)[trial]
+    assert drawn[trial] == np.random.default_rng(child).bit_generator.state
 
 
 def test_fuzz_honours_fixed_r_grid():
