@@ -15,7 +15,7 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from .sequences import EpSequence, _require_points, limsup_vector
-from .spaces import ControlledSpace, leq
+from .spaces import ControlledSpace, leq, nonnegative
 
 
 @dataclass(frozen=True)
@@ -33,15 +33,13 @@ class RoughLimitSet:
 
 def is_rough_limit(seq: EpSequence, space: ControlledSpace, x, r: float) -> bool:
     """Whether x is a rough limit of degree r (closed boundary, tolerant)."""
-    if r < 0:
-        raise ValueError(f"roughness degree must be >= 0, got {r}")
+    nonnegative(r, "roughness degree")
     return leq(limsup_vector(seq, space).item(space.index(x)), r)
 
 
 def rough_limit_set(seq: EpSequence, space: ControlledSpace, r: float) -> RoughLimitSet:
     """Exhaustive membership scan over all points of the space."""
-    if r < 0:
-        raise ValueError(f"roughness degree must be >= 0, got {r}")
+    nonnegative(r, "roughness degree")
     hit = leq(limsup_vector(seq, space), r)
     members = frozenset(space.points[i] for i in np.flatnonzero(hit))
     return RoughLimitSet(r=float(r), members=members, sequence=seq, space=space)

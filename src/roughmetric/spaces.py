@@ -40,6 +40,16 @@ def leq(a: float, b: float) -> bool:
     return a <= b + TOLERANCE
 
 
+def nonnegative(x: float, what: str) -> None:
+    """Reject a degree or radius that is not a real ``x >= 0`` (nan included).
+
+    +inf passes: the checks scale a finite degree by ``sup_alpha``, which may
+    overflow.
+    """
+    if not x >= 0:
+        raise ValueError(f"{what} must be >= 0, got {x}")
+
+
 class ShapeError(ValueError):
     """Malformed tables: wrong shape, bad entries, bad point list.
 
@@ -245,38 +255,31 @@ def validate_axioms(spec: SpaceSpec) -> ValidationResult:
 
 @dataclass(frozen=True, eq=False)
 class ControlledSpace:
-    """A validated controlled metric type space.
+    """A validated controlled metric type space; :func:`build_space` validates.
 
-    ``sup_alpha`` is the largest control value (the constant scaling every
-    rough-convergence bound); ``min_positive_dist`` is the smallest nonzero
-    distance, or +inf for a single-point space.
+    Its data is read off ``spec`` once, on construction: ``points``, ``dist``,
+    ``alpha`` and ``n`` are the spec's own; ``sup_alpha`` is the largest
+    control value (the constant scaling every rough-convergence bound);
+    ``min_positive_dist`` is the smallest nonzero distance, or +inf for a
+    single-point space.
     """
 
     spec: SpaceSpec
-    sup_alpha: float
-    min_positive_dist: float
 
     def __post_init__(self):
-        index = {p: i for i, p in enumerate(self.spec.points)}
-        object.__setattr__(self, "_index", index)
-        object.__setattr__(self, "_point_set", frozenset(self.spec.points))
-        object.__setattr__(self, "_row_max", {})
-
-    @property
-    def points(self) -> tuple:
-        return self.spec.points
-
-    @property
-    def dist(self) -> np.ndarray:
-        return self.spec.dist
-
-    @property
-    def alpha(self) -> np.ndarray:
-        return self.spec.alpha
-
-    @property
-    def n(self) -> int:
-        return self.spec.n
+        spec = self.spec
+        positive = spec.dist[spec.dist > 0]
+        vars(self).update({
+            "points": spec.points,
+            "dist": spec.dist,
+            "alpha": spec.alpha,
+            "n": spec.n,
+            "sup_alpha": float(spec.alpha.max()),
+            "min_positive_dist": float(positive.min()) if positive.size else math.inf,
+            "_index": {p: i for i, p in enumerate(spec.points)},
+            "_point_set": frozenset(spec.points),
+            "_row_max": {},
+        })
 
     def __contains__(self, point) -> bool:
         return point in self._point_set
@@ -313,7 +316,7 @@ class ControlledSpace:
 
 
 def build_space(spec: SpaceSpec) -> ControlledSpace:
-    """Validate ``spec`` and return the space with its cached constants.
+    """Validate ``spec`` and return its space.
 
     Raises :class:`InvalidSpaceError` (carrying the full witness list) if any
     axiom fails.
@@ -321,13 +324,7 @@ def build_space(spec: SpaceSpec) -> ControlledSpace:
     result = validate_axioms(spec)
     if not result.valid:
         raise InvalidSpaceError(result)
-    positive = spec.dist[spec.dist > 0]
-    min_pos = float(positive.min()) if positive.size else math.inf
-    return ControlledSpace(
-        spec=spec,
-        sup_alpha=float(spec.alpha.max()),
-        min_positive_dist=min_pos,
-    )
+    return ControlledSpace(spec)
 
 
 def paper_example_spec(n: int) -> SpaceSpec:
@@ -362,8 +359,7 @@ def ball(space: ControlledSpace, center, radius: float, kind: str = "open") -> B
     """Members at distance < radius (open) or <= radius (closed) from center."""
     if kind not in ("open", "closed"):
         raise ValueError(f"kind must be 'open' or 'closed', got {kind!r}")
-    if radius < 0:
-        raise ValueError(f"radius must be >= 0, got {radius}")
+    nonnegative(radius, "radius")
     row = space.dist[space.index(center)]
     if kind == "closed":
         hit = leq(row, radius)

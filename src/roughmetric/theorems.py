@@ -11,7 +11,7 @@ implementation bug rather than a counterexample.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from enum import Enum
 from itertools import combinations
 from typing import Optional, Sequence
@@ -27,7 +27,7 @@ from .sequences import (
     is_convergent,
     limsup_distance,
 )
-from .spaces import ControlledSpace, SpaceSpec, ball, build_space, diameter, leq
+from .spaces import ControlledSpace, SpaceSpec, ball, build_space, diameter, leq, nonnegative
 
 
 class TheoremId(Enum):
@@ -190,8 +190,7 @@ def check_shadowing(space: ControlledSpace, seq_a: EpSequence, seq_b: EpSequence
                     r: float) -> TheoremReport:
     """If seq_a converges to xi and stays within r/k of seq_b termwise
     (eventually), then xi is a rough limit of seq_b with degree r."""
-    if r < 0:
-        raise ValueError(f"roughness degree must be >= 0, got {r}")
+    nonnegative(r, "roughness degree")
     params = {"space": space, "seq_a": seq_a, "seq_b": seq_b, "r": r}
     if r == 0:
         return _na(TheoremId.T_SHADOW, params, "degree r = 0 is outside the theorem hypothesis r > 0")
@@ -455,16 +454,11 @@ def fuzz(config: FuzzConfig) -> FuzzSummary:
 def render_summary(summary: FuzzSummary) -> str:
     """Deterministic structured-text rendering; identical config and seed give
     byte-identical output."""
+    config = asdict(summary.config)
+    grid = config["r_grid"]
+    config["r_grid"] = "default" if grid is None else [float(r) for r in grid]
     doc = {
-        "config": {
-            "trials": summary.config.trials,
-            "max_points": summary.config.max_points,
-            "max_cycle": summary.config.max_cycle,
-            "max_prefix": summary.config.max_prefix,
-            "seed": summary.config.seed,
-            "r_grid": "default" if summary.config.r_grid is None
-                      else [float(r) for r in summary.config.r_grid],
-        },
+        "config": config,
         "results": {
             "trials": summary.trials,
             "checks_total": summary.checks_total,

@@ -140,6 +140,13 @@ def test_non_finite_degree_is_usage_error(args):
     assert "r must be finite, got 1e400" in result.output
 
 
+def test_degree_whose_product_with_k_overflows_is_accepted():
+    # r * sup_alpha is +inf for the ball and derived-set checks: inf is a valid degree there
+    result = run("theorems", "paper-example:4", "--seq", "2", "--r-grid", "1e308")
+    assert result.exit_code == 0
+    assert "0 failure(s)" in result.output
+
+
 @pytest.mark.parametrize("cmd", ["analyze", "limset"])
 def test_negative_zero_degree_is_zero(cmd):
     result = run(cmd, "paper-example:4", "--seq", "1,2", "--r", "-0")

@@ -57,6 +57,10 @@ def test_rough_limit_set_golden(paper10, xi):
     assert rough_limit_set(xi, paper10, 0.0).members == set()
 
 
+def test_infinite_degree_is_every_point(paper10, xi):
+    assert rough_limit_set(xi, paper10, math.inf).members == set(paper10.points)
+
+
 def test_rough_limit_set_fields(paper4, xi):
     lim = rough_limit_set(xi, paper4, 1 / SQRT2)
     assert lim.r == 1 / SQRT2
@@ -201,7 +205,7 @@ def test_derived_set_detects_zero_distance_pairs():
     spec = SpaceSpec(("a", "b", "c"),
                      [[0, 0, 1], [0, 0, 1], [1, 1, 0]],
                      np.ones((3, 3)))
-    space = ControlledSpace(spec=spec, sup_alpha=1.0, min_positive_dist=1.0)
+    space = ControlledSpace(spec)
     assert derived_set(space, {"a", "b"}) == {"a", "b"}
     # every ball around b contains a (zero distance), so b is a limit point
     # even of sets it does not belong to

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from roughmetric import (
+    ControlledSpace,
     InvalidSpaceError,
     ShapeError,
     SpaceSpec,
@@ -467,6 +468,16 @@ def test_build_space_caches_constants():
     assert build_space(paper_example_spec(9)).sup_alpha == math.sqrt(8)
     assert build_space(unit_triangle()).sup_alpha == 1.0
     assert PAPER6.min_positive_dist == 1 / math.sqrt(6)
+
+
+def test_space_reads_its_constants_off_its_tables():
+    spec = SpaceSpec(("a", "b", "c"),
+                     [[0, 0.5, 1], [0.5, 0, 1], [1, 1, 0]],
+                     [[1, 3, 1], [3, 1, 1], [1, 1, 1]])
+    space = ControlledSpace(spec)
+    assert (space.sup_alpha, space.min_positive_dist) == (3.0, 0.5)
+    assert (space.points, space.dist, space.alpha, space.n) == \
+        (spec.points, spec.dist, spec.alpha, 3)
 
 
 def test_build_space_single_point():

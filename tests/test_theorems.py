@@ -12,6 +12,7 @@ from roughmetric import (
     FuzzConfig,
     SpaceSpec,
     TheoremId,
+    ball,
     build_space,
     check_ball_sandwich,
     check_bounded_implies_rough,
@@ -25,6 +26,7 @@ from roughmetric import (
     default_r_grid,
     diameter,
     fuzz,
+    is_rough_limit,
     paper_example_spec,
     random_sequence,
     random_space,
@@ -184,7 +186,7 @@ def _broken_space():
                      [[0, 10, 1], [10, 0, 1], [1, 1, 0]],
                      np.ones((3, 3)))
     assert not validate_axioms(spec).valid
-    return ControlledSpace(spec=spec, sup_alpha=1.0, min_positive_dist=1.0)
+    return ControlledSpace(spec)
 
 
 def test_diameter_bound_failure_witness():
@@ -291,6 +293,22 @@ def test_every_report_replays_through_its_own_check(seed):
         again = rerun(rep)
         assert (direct.passed, direct.applicable, direct.witness, direct.details) == \
             (again.passed, again.applicable, again.witness, again.details)
+
+
+NAN = math.nan
+
+
+@pytest.mark.parametrize("call, what", [
+    (lambda space, seq: run_all(space, seq, [NAN]), "roughness degree"),
+    (lambda space, seq: rough_limit_set(seq, space, NAN), "roughness degree"),
+    (lambda space, seq: is_rough_limit(seq, space, 2, NAN), "roughness degree"),
+    (lambda space, seq: check_shadowing(space, EpSequence(cycle=(2,)), seq, NAN),
+     "roughness degree"),
+    (lambda space, seq: ball(space, 2, NAN, "closed"), "radius"),
+], ids=["run_all", "rough_limit_set", "is_rough_limit", "check_shadowing", "ball"])
+def test_nan_degree_is_rejected(paper4, xi, call, what):
+    with pytest.raises(ValueError, match=f"^{what} must be >= 0, got nan$"):
+        call(paper4, xi)
 
 
 # --- random generation ---
