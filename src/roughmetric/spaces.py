@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Hashable, Iterable
 
 import numpy as np
@@ -189,28 +190,30 @@ def validate_axioms(spec: SpaceSpec) -> ValidationResult:
         raise ShapeError("tables do not match the point list")
     violations: list[Violation] = []
 
-    # (d1) exact: zero diagonal, positive off-diagonal
-    for i in np.flatnonzero(np.diagonal(d) != 0.0):
-        violations.append(Violation("d1", (pts[i], pts[i]), float(d[i, i]), 0.0))
-    # masks are read with np.flatnonzero and divmod: np.argwhere and np.nonzero
-    # take ~30x longer on an empty 200 x 200 mask
+    def add(axiom: str, idx: tuple, lhs: np.ndarray, rhs: np.ndarray) -> None:
+        """Append one witness per entry of ``lhs``; ``idx`` holds an index array per point."""
+        cols = ([pts[i] for i in col.tolist()] for col in idx)
+        violations.extend(map(Violation, repeat(axiom), zip(*cols), lhs.tolist(), rhs.tolist()))
+
+    # (d1) and (d2) exact, alpha >= 1 tolerant. Each row gives its witnesses as flat
+    # indices x * n + y in (x, y) order, read with np.flatnonzero (np.argwhere and
+    # np.nonzero take ~30x longer on an empty 200 x 200 mask), and both sides.
+    # An off-diagonal -0 reads as the literal 0.0.
     off_zero = d == 0.0
     np.fill_diagonal(off_zero, False)
-    for k in np.flatnonzero(off_zero):
-        i, j = divmod(k, n)
-        violations.append(Violation("d1", (pts[i], pts[j]), 0.0, 0.0))
-
-    # (d2) exact symmetry
     asymmetric = np.flatnonzero(d != d.T)
-    for k in asymmetric:
-        i, j = divmod(k, n)
-        if i < j:
-            violations.append(Violation("d2", (pts[i], pts[j]), float(d[i, j]), float(d[j, i])))
-
-    # alpha >= 1 (tolerant boundary)
-    for k in np.flatnonzero(a < 1.0 - TOLERANCE):
-        i, j = divmod(k, n)
-        violations.append(Violation("alpha", (pts[i], pts[j]), float(a[i, j]), 1.0))
+    for axiom, flat, lhs, rhs in (
+        ("d1", np.flatnonzero(np.diagonal(d) != 0.0) * (n + 1), d, 0.0),  # (x, x) is x * (n + 1)
+        ("d1", np.flatnonzero(off_zero), 0.0, 0.0),
+        ("d2", asymmetric[asymmetric // n < asymmetric % n], d, d.T),  # x < y
+        ("alpha", np.flatnonzero(a < 1.0 - TOLERANCE), a, 1.0),
+    ):
+        if flat.size:  # most tables pass: skip the index work
+            idx = np.divmod(flat, n)
+            lhs, rhs = (s[idx] if isinstance(s, np.ndarray) else np.full(flat.size, s)
+                        for s in (lhs, rhs))
+            add(axiom, idx, lhs, rhs)
+    del off_zero  # no n^2 mask outlives the pair axioms into the (d3) scan
 
     # (d3) over all ordered triples: d[x,y] <= m[x,z] + m[z,y], m = alpha*dist.
     # Huge alpha*d may overflow (inf, or nan from inf - inf): compared as is, silently.
@@ -235,9 +238,8 @@ def validate_axioms(spec: SpaceSpec) -> ValidationResult:
             np.add(m_live[s : s + k, None, :], mt[None, y0:, :], out=rhs)
             np.fmin.reduce(rhs, axis=2, out=low[s : s + k, y0:])
         if half:  # (x, y) with y < x takes row y's minimum; +inf if the screen proved row y clean
-            full = np.full((n, n), np.inf)
-            full[live] = low
-            np.fmin(low, full.T[live], out=low)
+            pair = low[:, live]
+            low[:, live] = np.fmin(pair, pair.T)
         # pass 2, exact: fl(t + tol) is monotone in t, and fmin skips nan sums, which
         # never witness. The flagged pairs come in (x, y) order and are searched z by z.
         i, y = np.nonzero(d[live] > low + TOLERANCE)
@@ -246,9 +248,7 @@ def validate_axioms(spec: SpaceSpec) -> ValidationResult:
             xs, ys = x[s : s + step], y[s : s + step]
             lhs, sums = d[xs, ys], m[xs] + mt[ys]
             p, z = np.nonzero(lhs[:, None] > sums + TOLERANCE)
-            for u, v, w, left, right in zip(xs[p].tolist(), ys[p].tolist(), z.tolist(),
-                                            lhs[p].tolist(), sums[p, z].tolist()):
-                violations.append(Violation("d3", (pts[u], pts[v], pts[w]), left, right))
+            add("d3", (xs[p], ys[p], z), lhs[p], sums[p, z])
 
     return ValidationResult(tuple(violations))
 
@@ -294,7 +294,7 @@ class ControlledSpace:
             raise ValueError(f"unknown point {point!r}") from None
 
     def distance(self, x, y) -> float:
-        return self.spec.dist.item(self.index(x), self.index(y))
+        return self.dist.item(self.index(x), self.index(y))
 
     def row_max(self, values: frozenset) -> np.ndarray:
         """Max of d(v, x) over v in nonempty ``values``, for each x in point order.
@@ -304,7 +304,7 @@ class ControlledSpace:
         if out is None:
             if len(self._row_max) >= _ROW_MAX_CACHE:
                 self._row_max.clear()
-            out = self.spec.dist[[self.index(v) for v in values]].max(axis=0)
+            out = self.dist[[self.index(v) for v in values]].max(axis=0)
             out.setflags(write=False)
             self._row_max[values] = out
         return out
@@ -312,7 +312,7 @@ class ControlledSpace:
     def ordered(self, subset: Iterable) -> tuple:
         """Subset as a tuple in this space's canonical point order."""
         idx = sorted(self.index(p) for p in set(subset))
-        return tuple(self.spec.points[i] for i in idx)
+        return tuple(self.points[i] for i in idx)
 
 
 def build_space(spec: SpaceSpec) -> ControlledSpace:

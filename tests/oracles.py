@@ -68,6 +68,17 @@ def d3_witnesses_bruteforce(spec) -> list:
     return out
 
 
+def k_floor_bruteforce(d: np.ndarray) -> float:
+    """Largest d(x,y) / (d(x,z) + d(z,y)) over the triples with z outside {x, y},
+    from the full n^3 ratio tensor; 0 when no such triple exists."""
+    n = len(d)
+    denom = d[:, None, :] + d.T[None, :, :]  # denom[x, y, z] = d(x,z) + d(z,y)
+    idx = np.arange(n)
+    denom[idx, :, idx] = np.inf  # z = x: the ratio is 0
+    denom[:, idx, idx] = np.inf  # z = y
+    return float((d[:, :, None] / denom).max())
+
+
 def unroll_terms(seq, count: int) -> list:
     """First ``count`` terms by walking prefix-then-cycle explicitly."""
     out = list(seq.prefix)

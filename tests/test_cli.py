@@ -60,6 +60,52 @@ def test_validate_reports_violations(tmp_path):
     assert "axiom d1 fails at (a, a): 0.5 != 0" in result.output
 
 
+# fails d1 on and off the diagonal (the "-0" entry), d2, alpha and (d3)
+EVERY_AXIOM_DOC = """\
+points: [1, 2, 3]
+dist:
+- [0.5, "-0", 9]
+- [0, 0, 1]
+- [9, 2, 0]
+alpha:
+- [1, 1, 1]
+- [1, 1, 1]
+- [1, 1, 0.5]
+"""
+
+
+def test_witnesses_come_in_axiom_order_with_both_sides():
+    violations = spaces.validate_axioms(load_space(EVERY_AXIOM_DOC)).violations
+    assert [(v.axiom, v.points, repr(v.lhs), repr(v.rhs)) for v in violations] == [
+        ("d1", (1, 1), "0.5", "0.0"),
+        ("d1", (1, 2), "0.0", "0.0"),  # the -0 entry's side is the literal 0.0
+        ("d1", (2, 1), "0.0", "0.0"),
+        ("d2", (2, 3), "1.0", "2.0"),  # upper triangle only
+        ("alpha", (3, 3), "0.5", "1.0"),
+        ("d3", (1, 1, 2), "0.5", "0.0"),
+        ("d3", (1, 3, 2), "9.0", "1.0"),
+        ("d3", (3, 1, 2), "9.0", "2.0"),
+    ]
+
+
+def test_validate_prints_every_axiom_in_order(tmp_path):
+    doc = tmp_path / "every.space"
+    doc.write_text(EVERY_AXIOM_DOC)
+    result = run("validate", str(doc))
+    assert result.exit_code == 1
+    assert result.output == (
+        "INVALID: 8 violation(s)\n"
+        "  axiom d1 fails at (1, 1): 0.5 != 0\n"
+        "  axiom d1 fails at (1, 2): 0 != 0\n"
+        "  axiom d1 fails at (2, 1): 0 != 0\n"
+        "  axiom d2 fails at (2, 3): 1 != 2\n"
+        "  axiom alpha fails at (3, 3): 0.5 < 1\n"
+        "  axiom d3 fails at (1, 1, 2): 0.5 > 0\n"
+        "  axiom d3 fails at (1, 3, 2): 9 > 1\n"
+        "  axiom d3 fails at (3, 1, 2): 9 > 2\n"
+    )
+
+
 def test_validate_structured_output():
     result = run("validate", "paper-example:4", "--format", "structured")
     doc = yaml.safe_load(result.output)

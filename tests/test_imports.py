@@ -1,6 +1,7 @@
 """What importing ``roughmetric`` costs: every name a module imports is read
 somewhere in it, and PyYAML is not loaded until a document is read or written.
-Also who reads the tolerance: ``spaces`` alone."""
+Also who reads the tolerance, ``spaces`` alone, and who builds a ``Violation``:
+one function of ``spaces``."""
 
 import ast
 import os
@@ -58,3 +59,31 @@ def test_only_spaces_reads_the_tolerance():
              for path in sorted((SRC / "roughmetric").glob("*.py")) if path.name != "spaces.py"
              for node in ast.walk(ast.parse(path.read_text())) if _reads_tolerance(node)]
     assert reads == []
+
+
+def _violation_loads(tree: ast.Module) -> list[str]:
+    """The scope (dotted function name, or ``<module>``) of each load of ``Violation``
+    as a value; annotations only name the type, so they are skipped."""
+    annotations = {id(sub) for node in ast.walk(tree)
+                   for ann in (getattr(node, "annotation", None), getattr(node, "returns", None))
+                   if ann is not None for sub in ast.walk(ann)}
+    found = []
+
+    def visit(node: ast.AST, scope: tuple) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = (*scope, node.name)
+        loaded = (isinstance(node, ast.Name) and node.id == "Violation"
+                  or isinstance(node, ast.Attribute) and node.attr == "Violation")
+        if loaded and isinstance(node.ctx, ast.Load) and id(node) not in annotations:
+            found.append(".".join(scope) or "<module>")
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, ())
+    return found
+
+
+def test_one_function_builds_every_violation():
+    loads = {path.name: found for path in sorted((SRC / "roughmetric").glob("*.py"))
+             if (found := _violation_loads(ast.parse(path.read_text())))}
+    assert list(loads) == ["spaces.py"] and len(loads["spaces.py"]) == 1, loads

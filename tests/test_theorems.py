@@ -37,6 +37,8 @@ from roughmetric import (
     validate_axioms,
 )
 
+from oracles import k_floor_bruteforce
+
 SQRT2 = math.sqrt(2)
 R_CRIT = 1 / SQRT2
 
@@ -330,6 +332,23 @@ def test_random_space_single_point():
     rng = np.random.default_rng(0)
     space = random_space(rng, 1)
     assert space.points == (1,)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 12, 60])
+def test_random_space_k_floor_matches_bruteforce(n):
+    # a seed whose draw has exactly n points, replayed by hand against the n^3 ratio tensor
+    seed = next(s for s in range(10_000)
+                if n == 1 or np.random.default_rng(s).integers(2, n + 1) == n)
+    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    space = random_space(rng, n)
+    if n > 1:
+        ref.integers(2, n + 1)
+    d = np.triu(ref.uniform(0.1, 10.0, size=(n, n)), 1)
+    d = d + d.T
+    alpha = max(1.0, k_floor_bruteforce(d)) * (1.0 + ref.uniform(0.0, 1.0, size=(n, n)))
+    assert space.n == n
+    assert np.array_equal(space.dist, d) and np.array_equal(space.alpha, alpha)
+    assert rng.bit_generator.state == ref.bit_generator.state
 
 
 def test_random_sequence_respects_limits():
