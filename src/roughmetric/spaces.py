@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import repeat
 from typing import Hashable, Iterable
 
@@ -145,6 +146,20 @@ class SpaceSpec:
         return len(self.points)
 
 
+def _d3_certified(d: np.ndarray, m: np.ndarray, low: np.ndarray) -> bool:
+    """Whether one whole-table test proves every row of the (d3) screen clean.
+
+    It holds when ``max d <= 2 * min low + TOLERANCE`` and ``m >= d``, tested
+    in that order; ``min low`` is the smallest ``m`` off the diagonal. It is
+    exact. Every sum through z outside {x, y} adds two entries off the
+    diagonal, so it is at least ``2 * min low``, as rounded addition is
+    monotone. And ``m >= d >= 0`` makes the diagonal of ``m`` nonnegative, so
+    every sum through z in {x, y} is at least ``m[x, y] >= d[x, y]``. A -inf
+    bound fails the ``<=``, so the floor decides.
+    """
+    return bool(d.max() <= 2 * low.min() + TOLERANCE and (m >= d).all())
+
+
 def _d3_live_rows(d: np.ndarray, m: np.ndarray) -> np.ndarray:
     """Ascending indices of the rows x that may hold a (d3) witness.
 
@@ -156,11 +171,15 @@ def _d3_live_rows(d: np.ndarray, m: np.ndarray) -> np.ndarray:
     holds no witness. The sums with z in {x, y} enter the floor as the very
     floats the scan computes. ``low + high`` is nan only when one side is
     +inf; every sum with z outside {x, y} is then +inf or nan, so ``fmin``
-    drops it and keeps the degenerate terms.
+    drops it and keeps the degenerate terms. The floor is not built when
+    :func:`_d3_certified` proves every row clean from the minima alone.
     """
     off = m.copy()
     np.fill_diagonal(off, np.inf)
-    floor = off.min(axis=1)[:, None] + off.min(axis=0)
+    low, high = off.min(axis=1), off.min(axis=0)
+    if _d3_certified(d, m, low):
+        return np.empty(0, dtype=np.intp)
+    floor = low[:, None] + high
     # once the minima are taken, off holds the sums through z = x, then z = y
     diag = np.diagonal(m)
     np.fmin(floor, np.add(diag[:, None], m, out=off), out=floor)
@@ -221,13 +240,14 @@ def validate_axioms(spec: SpaceSpec) -> ValidationResult:
     with np.errstate(over="ignore", invalid="ignore"):
         m = a * d
         live = np.arange(n) if n**3 <= _D3_BLOCK else _d3_live_rows(d, m)
+        if live.size == 0:  # as in most valid tables above one block: no scan buffers
+            return ValidationResult(tuple(violations))
         m_live = m[live]  # gathered once, so each block is a slice
         mt = np.ascontiguousarray(m.T)
         # With d and m symmetric (m has no nan: both tables are finite), (y, x, z)
         # is the inequality at (x, y, z) with the same floats, m[y,z] + m[z,x]
-        # being the commuted sum; so row x scans only y >= x. Skipped with no
-        # live row, as in most valid tables above one block.
-        half = live.size > 0 and asymmetric.size == 0 and not np.count_nonzero(m != mt)
+        # being the commuted sum; so row x scans only y >= x.
+        half = asymmetric.size == 0 and not np.count_nonzero(m != mt)
         rows = max(1, min(live.size, _D3_BLOCK // (n * n)))
         rhs_buf = np.empty((rows, n, n))
         low = np.full((live.size, n), np.inf)  # pass 1: each pair's smallest sum
@@ -257,29 +277,35 @@ def validate_axioms(spec: SpaceSpec) -> ValidationResult:
 class ControlledSpace:
     """A validated controlled metric type space; :func:`build_space` validates.
 
-    Its data is read off ``spec`` once, on construction: ``points``, ``dist``,
-    ``alpha`` and ``n`` are the spec's own; ``sup_alpha`` is the largest
-    control value (the constant scaling every rough-convergence bound);
-    ``min_positive_dist`` is the smallest nonzero distance, or +inf for a
-    single-point space.
+    Its data is read off ``spec``: ``points``, ``dist``, ``alpha`` and ``n``
+    are the spec's own, taken on construction; ``sup_alpha`` and
+    ``min_positive_dist`` are computed on first read.
     """
 
     spec: SpaceSpec
 
     def __post_init__(self):
         spec = self.spec
-        positive = spec.dist[spec.dist > 0]
         vars(self).update({
             "points": spec.points,
             "dist": spec.dist,
             "alpha": spec.alpha,
             "n": spec.n,
-            "sup_alpha": float(spec.alpha.max()),
-            "min_positive_dist": float(positive.min()) if positive.size else math.inf,
             "_index": {p: i for i, p in enumerate(spec.points)},
             "_point_set": frozenset(spec.points),
             "_row_max": {},
         })
+
+    @cached_property
+    def sup_alpha(self) -> float:
+        """The largest control value: the k scaling every rough-convergence bound."""
+        return float(self.alpha.max())
+
+    @cached_property
+    def min_positive_dist(self) -> float:
+        """The smallest nonzero distance, or +inf for a single-point space."""
+        positive = self.dist[self.dist > 0]
+        return float(positive.min()) if positive.size else math.inf
 
     def __contains__(self, point) -> bool:
         return point in self._point_set

@@ -68,6 +68,32 @@ def d3_witnesses_bruteforce(spec) -> list:
     return out
 
 
+def d3_witnesses_tensor(spec) -> list:
+    """:func:`d3_witnesses_bruteforce` from the full n^3 tensor of sums, for
+    tables too large for the plain loops."""
+    d, pts = spec.dist, spec.points
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = spec.alpha * d
+        sums = m[:, None, :] + m.T[None, :, :]  # sums[x, y, z] = m(x,z) + m(z,y)
+        x, y, z = np.nonzero(d[:, :, None] > sums + TOLERANCE)
+    return [((pts[i], pts[j], pts[k]), float(d[i, j]), float(sums[i, j, k]))
+            for i, j, k in zip(x.tolist(), y.tolist(), z.tolist())]
+
+
+def d3_live_rows_floor(d: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """The (d3) screen's live rows from its O(n^2) floor alone, with no
+    whole-table shortcut: the reference for ``spaces._d3_live_rows``."""
+    off = m.copy()
+    np.fill_diagonal(off, np.inf)
+    floor = off.min(axis=1)[:, None] + off.min(axis=0)
+    # once the minima are taken, off holds the sums through z = x, then z = y
+    diag = np.diagonal(m)
+    np.fmin(floor, np.add(diag[:, None], m, out=off), out=floor)
+    np.fmin(floor, np.add(m, diag, out=off), out=floor)
+    np.add(floor, TOLERANCE, out=floor)
+    return np.flatnonzero((d > floor).any(axis=1))
+
+
 def k_floor_bruteforce(d: np.ndarray) -> float:
     """Largest d(x,y) / (d(x,z) + d(z,y)) over the triples with z outside {x, y},
     from the full n^3 ratio tensor; 0 when no such triple exists."""

@@ -20,7 +20,13 @@ from roughmetric import (
 from roughmetric import spaces
 
 import oracles
-from oracles import axiom_violations_bruteforce, d3_witnesses_bruteforce, paper_example_bruteforce
+from oracles import (
+    axiom_violations_bruteforce,
+    d3_live_rows_floor,
+    d3_witnesses_bruteforce,
+    d3_witnesses_tensor,
+    paper_example_bruteforce,
+)
 
 SQRT2 = math.sqrt(2)
 
@@ -178,6 +184,28 @@ def test_d3_scan_memory_is_quadratic():
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2**20  # a full n^3 float tensor alone is 61 MB
+
+
+def validate_peak_mb(spec) -> tuple:
+    """``validate_axioms(spec)`` and its tracemalloc peak in MB."""
+    tracemalloc.start()
+    try:
+        result = validate_axioms(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak / 2**20
+
+
+def test_d3_screen_without_live_rows_builds_no_floor():
+    # no live row: neither the screen's floor nor the scan's buffers are built
+    result, peak = validate_peak_mb(paper_example_spec(200))
+    assert result.valid and peak < 0.8
+    spec = with_entries(paper_example_spec(200), dist=[((0, 2), 1.5)])  # d(1, 3) x 1.5 one way
+    result, peak = validate_peak_mb(spec)
+    assert [(v.axiom, v.points, v.lhs, v.rhs) for v in result.violations] == \
+        [("d2", (1, 3), 1.5, 1.0)]
+    assert peak < 0.8
 
 
 @pytest.fixture(params=[1, 7, 500, spaces._D3_BLOCK])
@@ -403,6 +431,113 @@ def test_d3_half_scan_live_row_with_clean_partner_below(d3_block):
     assert symmetric_tables(spec) == (True, True)
     assert live_rows(spec) == [10, 20]
     assert d3_matches_bruteforce(spec) == [((10, 20, 0), 2.5, 2.0), ((20, 10, 0), 2.5, 2.0)]
+
+
+def screen(spec) -> tuple[list, bool]:
+    """The (d3) screen's live rows, and whether the whole-table certificate gave them.
+
+    Checks them against the floor alone (the screen without the certificate)."""
+    verdicts = []
+    real = spaces._d3_certified
+
+    def certified(*args):
+        verdicts.append(real(*args))
+        return verdicts[-1]
+
+    with pytest.MonkeyPatch.context() as patch, np.errstate(over="ignore", invalid="ignore"):
+        patch.setattr(spaces, "_d3_certified", certified)
+        m = spec.alpha * spec.dist
+        live = spaces._d3_live_rows(spec.dist, m)
+        assert live.dtype == np.intp and live.tolist() == d3_live_rows_floor(spec.dist, m).tolist()
+    return live.tolist(), verdicts == [True]
+
+
+def corrupted_table(rng):
+    """A parity or squared-Euclidean table of 26 to 59 points with up to three
+    corruptions, some of them mirrored, each of a kind the certificate must see through."""
+    n = int(rng.integers(26, 60))
+    if rng.random() < 0.5:
+        paper = paper_example_spec(n)
+        d, a = paper.dist.copy(), paper.alpha.copy()
+    else:
+        xy = rng.uniform(0.0, 1.0, (n, 2))
+        d, a = ((xy[:, None] - xy) ** 2).sum(axis=-1), np.full((n, n), 2.0)
+    for _ in range(int(rng.integers(0, 4))):
+        i, j = rng.choice(n, size=2, replace=False)
+        pairs = [(i, j), (j, i)] if rng.random() < 0.5 else [(i, j)]
+        kind = int(rng.integers(8))
+        for x, y in pairs:
+            if kind == 0:  # a scaled distance
+                d[x, y] *= rng.uniform(0.5, 3.0)
+            elif kind == 1:  # a control just below 1
+                a[x, y] = np.nextafter(1.0, 0.0)
+            elif kind == 2:  # a negative control
+                a[x, y] = -rng.uniform(0.5, 3.0)
+            elif kind == 3:  # a nonzero distance on the diagonal
+                d[x, x] = rng.uniform(0.1, 2.0)
+            elif kind == 4:  # -0.0 on the diagonal
+                d[x, x] = -0.0
+            elif kind == 5:  # alpha * dist overflows to +-inf
+                d[x, y], a[x, y] = 1e300, rng.choice([1e300, -1e300])
+            elif kind == 6:  # a zero off the diagonal
+                d[x, y] = 0.0
+            else:  # a control of 0, -1 or 5 on the diagonal
+                a[x, x] = rng.choice([0.0, -1.0, 5.0])
+    return SpaceSpec(tuple(range(n)), d, a)
+
+
+@pytest.mark.parametrize("tol", [spaces.TOLERANCE, 0.0])
+def test_d3_certificate_keeps_the_live_set(d3_block, monkeypatch, tol):
+    monkeypatch.setattr(spaces, "TOLERANCE", tol)
+    monkeypatch.setattr(oracles, "TOLERANCE", tol)
+    rng = np.random.default_rng([spaces._D3_BLOCK, tol == 0])
+    certified = 0
+    for _ in range(375):  # 3,000 tables over the eight parameter sets
+        spec = corrupted_table(rng)
+        live, proved = screen(spec)
+        certified += proved
+        with np.errstate(over="ignore", invalid="ignore"):
+            violations = validate_axioms(spec).violations
+        got = [(v.points, v.lhs, v.rhs) for v in violations if v.axiom == "d3"]
+        assert got == d3_witnesses_tensor(spec)
+        assert not (proved and got)
+    assert certified >= 10
+
+
+@pytest.mark.parametrize("tol", [spaces.TOLERANCE, 0.0])
+def test_d3_certificate_boundaries(monkeypatch, tol):
+    monkeypatch.setattr(spaces, "TOLERANCE", tol)
+    monkeypatch.setattr(oracles, "TOLERANCE", tol)
+    # unit simplex: every off-diagonal product is 1, so the bound is fl(2 + tol)
+    bound = 2.0 + tol
+    on = with_entries(unit_simplex(6), dist=[((0, 1), bound)])
+    assert screen(on) == ([], True)
+    past = with_entries(on, dist=[((0, 1), np.nextafter(bound, 3))])
+    assert screen(past) == ([0], False)
+    # one short pair: d's max 1 is past the bound 0.4 + 0.4, and the floor clears every row
+    short = with_entries(unit_simplex(6), dist=[((0, 1), 0.4), ((1, 0), 0.4)])
+    assert screen(short) == ([], False)
+    # alpha(1, 2) just below 1: m < d on that pair, whose sum through z = y is 1 - ulp
+    below = with_entries(unit_simplex(6), alpha=[((0, 1), np.nextafter(1.0, 0.0))])
+    assert screen(below) == ([0] if tol == 0 else [], False)
+    # d(x, x) = 1 under an alpha diagonal of 0: m's diagonal is zero, but m < d
+    zeroed = with_entries(unit_simplex(6), dist=[((2, 2), 1.0)], alpha=[((2, 2), 0.0)])
+    assert screen(zeroed) == ([2], False)
+    # d(x, x) = 0.5 under a control of 1: a positive diagonal with m >= d holds no witness
+    positive = with_entries(unit_simplex(6), dist=[((2, 2), 0.5)])
+    assert screen(positive) == ([], True)
+    # -0.0 on the diagonal of d, or from an alpha diagonal of -1
+    signed = with_entries(paper_example_spec(30), dist=[((3, 3), -0.0)], alpha=[((5, 5), -1.0)])
+    assert screen(signed) == ([], True)
+    # +inf products only off the diagonal: every sum is +inf
+    huge = SpaceSpec((0, 1, 2), np.full((3, 3), 1e300) * (1 - np.eye(3)), np.full((3, 3), 1e300))
+    assert screen(huge) == ([], True)
+    # one +inf product: d's max is past the bound
+    inf = with_entries(unit_simplex(6), dist=[((0, 1), 1e300)], alpha=[((0, 1), 1e300)])
+    assert screen(inf) == ([0], False)
+    # one -inf product: the bound is -inf
+    neg = with_entries(unit_simplex(6), dist=[((0, 1), 1e300)], alpha=[((0, 1), -1e300)])
+    assert screen(neg) == ([0, 1, 2, 3, 4, 5], False)
 
 
 def symmetrized(spec):

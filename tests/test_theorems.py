@@ -4,9 +4,12 @@ import math
 import numpy as np
 import pytest
 import yaml
+from click.testing import CliRunner
 
 from roughmetric import theorems
+from roughmetric.cli import main
 from roughmetric import (
+    BoundednessReport,
     ControlledSpace,
     EpSequence,
     FuzzConfig,
@@ -201,6 +204,40 @@ def test_diameter_bound_failure_witness():
     assert report.witness["bound"] == 2.0
     again = rerun(report)
     assert (again.passed, again.witness) == (report.passed, report.witness)
+
+
+# --- faults injected below a check reach its witness ---
+
+def _unbounded(seq, space):
+    return BoundednessReport(bounded=False, bound=math.inf)
+
+
+def _far(seq, space, x):
+    return 7.0  # beyond every degree below
+
+
+@pytest.mark.parametrize("fault, check, args, witness, grid, line", [
+    (("boundedness", _unbounded), check_rough_implies_bounded, (EpSequence(cycle=(2, 3)), R_CRIT),
+     {"bound": math.inf}, "1", "[FAIL] T_ROUGH_BOUNDED r=1  witness: {'bound': inf}"),
+    (("limsup_distance", _far), check_shadowing,
+     (EpSequence(cycle=(2,)), EpSequence(cycle=(2, 3)), 2 * R_CRIT),
+     {"limit": 2, "limsup": 7.0, "r": 2 * R_CRIT}, "2",
+     "[FAIL] T_SHADOW r=2  witness: {'limit': 2, 'limsup': 7.0, 'r': 2.0}"),
+    (("limsup_distance", _far), check_limitset_sequence,
+     (EpSequence(cycle=(2, 3)), R_CRIT, EpSequence(cycle=(3,))),
+     {"probe_limit": 3, "limsup": 7.0, "degree": 2 * R_CRIT}, "2",
+     "[FAIL] T_LIMSET_SEQ r=2  witness: {'probe_limit': 1, 'limsup': 7.0, 'degree': 4.0}"),
+], ids=["T_ROUGH_BOUNDED", "T_SHADOW", "T_LIMSET_SEQ"])
+def test_injected_fault_fails_the_check_cleanly(monkeypatch, paper4, fault, check, args,
+                                                witness, grid, line):
+    monkeypatch.setattr(theorems, *fault)
+    report = check(paper4, *args)
+    assert (report.passed, report.applicable, report.witness) == (False, True, witness)
+    assert rerun(report) == report
+    result = CliRunner().invoke(main, ["theorems", "paper-example:4", "--seq", "2,3",
+                                       "--r-grid", grid])
+    assert (result.exit_code, type(result.exception)) == (1, SystemExit)
+    assert line in result.output.splitlines() and "Traceback" not in result.output
 
 
 # --- run_all and rerun ---
