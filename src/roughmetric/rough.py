@@ -74,15 +74,12 @@ def cluster_points(seq: EpSequence, space: ControlledSpace) -> frozenset:
 
 
 def derived_set(space: ControlledSpace, subset: Iterable) -> frozenset:
-    """Limit points of ``subset`` in the ball topology of the space.
+    """Limit points of ``subset`` in the ball topology of the space: none.
 
-    y is a limit point iff every open ball around y meets subset \\ {y}; on a
-    finite table that reduces to some other member at distance exactly zero
-    from y, at any scale. For a validated space this is always empty, since
-    (d1) keeps distinct points at a positive distance; the computation is kept
-    general so pseudo-metric-like tables would still be handled.
+    Every open ball around a limit point y meets subset \\ {y}, so on a finite
+    table another member lies at distance zero from y: (d1), which every space
+    satisfies by construction, forbids it. Raises ``ValueError`` on an unknown point.
     """
-    idx = [space.index(p) for p in set(subset)]
-    near = space.dist[:, idx] == 0.0  # near[y, k]: d(y, member k) = 0
-    near[idx, range(len(idx))] = False  # a member is not its own neighbour
-    return frozenset(space.points[i] for i in np.flatnonzero(near.any(axis=1)))
+    for p in set(subset):
+        space.index(p)
+    return frozenset()

@@ -61,7 +61,7 @@ class ShapeError(ValueError):
 
 
 class InvalidSpaceError(ValueError):
-    """Raised by :func:`build_space` when a :class:`SpaceSpec` fails the axioms."""
+    """Raised by :class:`ControlledSpace` when its :class:`SpaceSpec` fails the axioms."""
 
     def __init__(self, result: "ValidationResult"):
         self.result = result
@@ -205,8 +205,6 @@ def validate_axioms(spec: SpaceSpec) -> ValidationResult:
     """
     d, a, pts = spec.dist, spec.alpha, spec.points
     n = spec.n
-    if d.shape != (n, n) or a.shape != (n, n):
-        raise ShapeError("tables do not match the point list")
     violations: list[Violation] = []
 
     def add(axiom: str, idx: tuple, lhs: np.ndarray, rhs: np.ndarray) -> None:
@@ -275,7 +273,8 @@ def validate_axioms(spec: SpaceSpec) -> ValidationResult:
 
 @dataclass(frozen=True, eq=False)
 class ControlledSpace:
-    """A validated controlled metric type space; :func:`build_space` validates.
+    """A controlled metric type space, valid by construction: it runs
+    :func:`validate_axioms` once and raises :class:`InvalidSpaceError` if any axiom fails.
 
     Its data is read off ``spec``: ``points``, ``dist``, ``alpha`` and ``n``
     are the spec's own, taken on construction; ``sup_alpha`` and
@@ -286,6 +285,9 @@ class ControlledSpace:
 
     def __post_init__(self):
         spec = self.spec
+        result = validate_axioms(spec)
+        if not result.valid:
+            raise InvalidSpaceError(result)
         vars(self).update({
             "points": spec.points,
             "dist": spec.dist,
@@ -347,9 +349,6 @@ def build_space(spec: SpaceSpec) -> ControlledSpace:
     Raises :class:`InvalidSpaceError` (carrying the full witness list) if any
     axiom fails.
     """
-    result = validate_axioms(spec)
-    if not result.valid:
-        raise InvalidSpaceError(result)
     return ControlledSpace(spec)
 
 
@@ -363,13 +362,13 @@ def paper_example_spec(n: int) -> SpaceSpec:
     """
     if n < 2:
         raise ValueError(f"need at least 2 points, got {n}")
-    x = np.arange(1, n + 1)
+    x = np.arange(1.0, n + 1)
     even = x % 2 == 0
-    mixed = even[:, None] != even[None, :]
-    root = np.sqrt(np.where(even[:, None], x[:, None], x[None, :]))  # sqrt(even argument)
-    dist = np.where(mixed, 1.0 / root, 1.0)
+    alpha = np.ones((n, n))
+    mixed = np.ix_(even, ~even)  # even row, odd column; alpha.T[mixed] is its mirror
+    alpha[mixed] = alpha.T[mixed] = np.sqrt(x[even, None])
+    dist = 1.0 / alpha
     np.fill_diagonal(dist, 0.0)
-    alpha = np.where(mixed, root, 1.0)
     return SpaceSpec(points=tuple(range(1, n + 1)), dist=dist, alpha=alpha)
 
 
@@ -395,13 +394,20 @@ def ball(space: ControlledSpace, center, radius: float, kind: str = "open") -> B
     return Ball(center=center, radius=float(radius), kind=kind, members=members)
 
 
+def _farthest_pair(space: ControlledSpace, subset: Iterable) -> tuple[float, tuple | None]:
+    """Largest pairwise distance over ``subset`` and its first pair in point order, or
+    ``(0.0, None)`` below two points; by (d2) the first maximum lies above the diagonal."""
+    idx = sorted(space.index(p) for p in set(subset))
+    if len(idx) <= 1:
+        return 0.0, None
+    sub = space.dist[np.ix_(idx, idx)]
+    i, j = divmod(int(sub.argmax()), len(idx))
+    return float(sub[i, j]), (space.points[idx[i]], space.points[idx[j]])
+
+
 def diameter(space: ControlledSpace, subset: Iterable) -> float:
     """Largest pairwise distance over ``subset``; 0 for empty or singleton sets."""
-    idx = [space.index(p) for p in set(subset)]
-    if len(idx) <= 1:
-        return 0.0
-    sub = space.dist[np.ix_(idx, idx)]
-    return float(sub.max())
+    return _farthest_pair(space, subset)[0]
 
 
 def restrict(space: ControlledSpace, subset: Iterable) -> ControlledSpace:

@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass, field
 from enum import Enum
-from itertools import combinations
 from typing import Optional, Sequence
 
 import numpy as np
@@ -27,7 +26,8 @@ from .sequences import (
     is_convergent,
     limsup_distance,
 )
-from .spaces import ControlledSpace, SpaceSpec, ball, build_space, diameter, leq, nonnegative
+from .spaces import (ControlledSpace, SpaceSpec, _farthest_pair, ball, build_space, diameter,
+                     leq, nonnegative)
 
 
 class TheoremId(Enum):
@@ -70,13 +70,10 @@ def check_diameter_bound(space: ControlledSpace, seq: EpSequence, r: float) -> T
     """
     params = {"space": space, "seq": seq, "r": r}
     members = rough_limit_set(seq, space, r).members
-    diam = diameter(space, members)
+    diam, pair = _farthest_pair(space, members)
     bound = 2.0 * r * space.sup_alpha
     passed = leq(diam, bound)
-    witness = None
-    if not passed:
-        pair = max(combinations(space.ordered(members), 2), key=lambda p: space.distance(*p))
-        witness = {"pair": list(pair), "distance": space.distance(*pair), "bound": bound}
+    witness = None if passed else {"pair": list(pair), "distance": diam, "bound": bound}
     details = {"diam": diam, "bound": bound, "limit_set_bounded": math.isfinite(diam)}
     if r > 0 and members:
         details["diam_ratio"] = diam / bound

@@ -1,7 +1,8 @@
 """What importing ``roughmetric`` costs: every name a module imports is read
 somewhere in it, and PyYAML is not loaded until a document is read or written.
-Also who reads the tolerance, ``spaces`` alone, and who builds a ``Violation``:
-one function of ``spaces``."""
+Also who reads the tolerance, ``spaces`` alone; who builds a ``Violation``: one
+function of ``spaces``; and who runs ``validate_axioms``: a space on
+construction, and the ``validate`` command."""
 
 import ast
 import os
@@ -61,19 +62,19 @@ def test_only_spaces_reads_the_tolerance():
     assert reads == []
 
 
-def _violation_loads(tree: ast.Module) -> list[str]:
-    """The scope (dotted function name, or ``<module>``) of each load of ``Violation``
-    as a value; annotations only name the type, so they are skipped."""
+def _scopes_loading(tree: ast.Module, name: str) -> list[str]:
+    """The scope (dotted class and function names, or ``<module>``) of each load of
+    ``name`` as a value; annotations only name a type, so they are skipped."""
     annotations = {id(sub) for node in ast.walk(tree)
                    for ann in (getattr(node, "annotation", None), getattr(node, "returns", None))
                    if ann is not None for sub in ast.walk(ann)}
     found = []
 
     def visit(node: ast.AST, scope: tuple) -> None:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
             scope = (*scope, node.name)
-        loaded = (isinstance(node, ast.Name) and node.id == "Violation"
-                  or isinstance(node, ast.Attribute) and node.attr == "Violation")
+        loaded = (isinstance(node, ast.Name) and node.id == name
+                  or isinstance(node, ast.Attribute) and node.attr == name)
         if loaded and isinstance(node.ctx, ast.Load) and id(node) not in annotations:
             found.append(".".join(scope) or "<module>")
         for child in ast.iter_child_nodes(node):
@@ -83,7 +84,17 @@ def _violation_loads(tree: ast.Module) -> list[str]:
     return found
 
 
+def _loads_by_file(name: str) -> dict:
+    return {path.name: found for path in sorted((SRC / "roughmetric").glob("*.py"))
+            if (found := _scopes_loading(ast.parse(path.read_text()), name))}
+
+
 def test_one_function_builds_every_violation():
-    loads = {path.name: found for path in sorted((SRC / "roughmetric").glob("*.py"))
-             if (found := _violation_loads(ast.parse(path.read_text())))}
+    loads = _loads_by_file("Violation")
     assert list(loads) == ["spaces.py"] and len(loads["spaces.py"]) == 1, loads
+
+
+def test_only_a_new_space_and_the_validate_command_run_the_validator():
+    # every other caller gets a space, which is valid by construction
+    assert _loads_by_file("validate_axioms") == {
+        "cli.py": ["validate"], "spaces.py": ["ControlledSpace.__post_init__"]}

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 from roughmetric import (
     ControlledSpace,
     EpSequence,
+    InvalidSpaceError,
     SpaceSpec,
     build_space,
     cluster_points,
@@ -197,21 +198,20 @@ def test_derived_set_empty_on_valid_spaces(paper10, xi):
     assert derived_set(paper10, {4}) == set()
     members = rough_limit_set(xi, paper10, 1.0).members
     assert derived_set(paper10, members) == set()
+    with pytest.raises(ValueError, match="unknown point 77"):
+        derived_set(paper10, {4, 77})
 
 
-def test_derived_set_detects_zero_distance_pairs():
-    # a pseudo-metric-like table (d1 fails), assembled without validation:
-    # points at distance zero from other members are limit points
+def test_space_rejects_zero_distance_pairs():
+    # a pseudo-metric-like table, whose points at distance zero from other members
+    # would be limit points, breaks (d1) and is no space
     spec = SpaceSpec(("a", "b", "c"),
                      [[0, 0, 1], [0, 0, 1], [1, 1, 0]],
                      np.ones((3, 3)))
-    space = ControlledSpace(spec)
-    assert derived_set(space, {"a", "b"}) == {"a", "b"}
-    # every ball around b contains a (zero distance), so b is a limit point
-    # even of sets it does not belong to
-    assert derived_set(space, {"a", "c"}) == {"b"}
-    assert derived_set(space, {"a"}) == {"b"}
-    assert derived_set(space, {"c"}) == set()
+    with pytest.raises(InvalidSpaceError) as err:
+        ControlledSpace(spec)
+    assert [(v.axiom, v.points, v.lhs, v.rhs) for v in err.value.result.violations] == \
+        [("d1", ("a", "b"), 0.0, 0.0), ("d1", ("b", "a"), 0.0, 0.0)]
 
 
 def test_derived_set_empty_at_a_tiny_scale():

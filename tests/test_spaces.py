@@ -62,7 +62,7 @@ def test_paper_example_table_values():
     assert all(d(x, x) == 0 for x in spec.points)
 
 
-@pytest.mark.parametrize("n", [*range(2, 65), 200])
+@pytest.mark.parametrize("n", [*range(2, 65), 101, 200, 1000])
 def test_paper_example_matches_its_definition_bit_for_bit(n):
     spec = paper_example_spec(n)
     dist, alpha = paper_example_bruteforce(n)
@@ -626,6 +626,27 @@ def test_build_space_rejects_invalid():
         build_space(spec)
     assert not err.value.result.valid
     assert err.value.result.violations[0].axiom == "d1"
+
+
+def test_space_is_valid_by_construction():
+    # every spec the validator rejects, and no other, fails construction with its witnesses
+    rng = np.random.default_rng(22)
+    specs = [adversarial_garbage(rng, 7) for _ in range(5)] + \
+        [corrupted_table(rng) for _ in range(40)] + \
+        [unit_triangle(), paper_example_spec(30),
+         SpaceSpec(("a", "b", "c"), [[0, 10, 1], [10, 0, 1], [1, 1, 0]], np.ones((3, 3)))]
+    rejected = 0
+    for spec in specs:
+        with np.errstate(over="ignore", invalid="ignore"):
+            result = validate_axioms(spec)
+            try:
+                ControlledSpace(spec)
+            except InvalidSpaceError as err:
+                assert err.result == result and not result.valid
+                rejected += 1
+            else:
+                assert result.valid
+    assert 5 < rejected < len(specs)
 
 
 def test_revalidation_is_idempotent():

@@ -10,9 +10,9 @@ from roughmetric import theorems
 from roughmetric.cli import main
 from roughmetric import (
     BoundednessReport,
-    ControlledSpace,
     EpSequence,
     FuzzConfig,
+    RoughLimitSet,
     SpaceSpec,
     TheoremId,
     ball,
@@ -30,6 +30,7 @@ from roughmetric import (
     diameter,
     fuzz,
     is_rough_limit,
+    load_space,
     paper_example_spec,
     random_sequence,
     random_space,
@@ -182,31 +183,19 @@ def test_cluster_ball_check(paper4, xi):
     assert conv.passed
 
 
-# --- a deliberately broken table exercises the failure path ---
-
-def _broken_space():
-    # d(a,b)=10 cannot be reached through c; never passes validation, so the
-    # wrapper is assembled by hand to give the checks something false to find
-    spec = SpaceSpec(("a", "b", "c"),
-                     [[0, 10, 1], [10, 0, 1], [1, 1, 0]],
-                     np.ones((3, 3)))
-    assert not validate_axioms(spec).valid
-    return ControlledSpace(spec)
-
-
-def test_diameter_bound_failure_witness():
-    space = _broken_space()
-    seq = EpSequence(cycle=("c",))
-    report = check_diameter_bound(space, seq, 1.0)
-    assert not report.passed
-    assert report.witness["pair"] == ["a", "b"]
-    assert report.witness["distance"] == 10.0
-    assert report.witness["bound"] == 2.0
-    again = rerun(report)
-    assert (again.passed, again.witness) == (report.passed, report.witness)
-
-
 # --- faults injected below a check reach its witness ---
+
+def _everything(seq, space, r):
+    return RoughLimitSet(r, frozenset(space.points), seq, space)
+
+
+def _nothing(seq, space, r):
+    return RoughLimitSet(r, frozenset(), seq, space)
+
+
+def _every_point(space, subset):
+    return frozenset(space.points)  # as if every point were a limit point
+
 
 def _unbounded(seq, space):
     return BoundednessReport(bounded=False, bound=math.inf)
@@ -216,26 +205,109 @@ def _far(seq, space, x):
     return 7.0  # beyond every degree below
 
 
-@pytest.mark.parametrize("fault, check, args, witness, grid, line", [
+def _stray(seq, offset, stride):
+    return EpSequence(cycle=(1,))  # a subsequence at a point the sequence never takes
+
+
+def _point_ball(space, center, radius, kind="open"):
+    return ball(space, center, 0.0, kind)
+
+
+def test_diameter_bound_failure_witness(monkeypatch, paper4):
+    # the pair is the first farthest one in point order, whatever order the set gives
+    flipped = build_space(SpaceSpec(paper4.points[::-1], paper4.dist[::-1, ::-1],
+                                    paper4.alpha[::-1, ::-1]))
+    for space, members, pair, distance in ((paper4, {4, 3, 2, 1}, [1, 3], 1.0),
+                                           (flipped, {1, 2, 3, 4}, [4, 2], 1.0),
+                                           (paper4, {4, 2, 3}, [2, 4], 1.0),
+                                           (paper4, {4, 1}, [1, 4], 0.5)):
+        monkeypatch.setattr(theorems, "rough_limit_set",
+                            lambda seq, sp, r: RoughLimitSet(r, frozenset(members), seq, sp))
+        report = check_diameter_bound(space, EpSequence(cycle=(2,)), 0.1)
+        assert (report.passed, report.applicable) == (False, True)
+        assert report.witness == {"pair": pair, "distance": distance, "bound": 0.4}
+        assert report.details["diam"] == distance
+        assert rerun(report) == report
+
+
+#: k = 1 + 9e-10 is within the tolerance of 1, so the closedness branch of
+#: T_DERIVED_SET is live, and at r = 1 - 1.5e-9 the point b (limsup 1) lies in
+#: the degree-rk rough limit set of the constant a but not in the degree-r one.
+NEAR_ONE_DOC = """\
+points: [a, b]
+dist:
+- [0, 1]
+- [1, 0]
+alpha:
+- [1, 1.0000000009]
+- [1.0000000009, 1]
+"""
+NEAR_ONE_R = 0.9999999985
+
+P4 = "paper-example:4"
+
+
+@pytest.mark.parametrize("fault, check, args, witness, source, cli, line", [
+    (("rough_limit_set", _everything), check_diameter_bound, (EpSequence(cycle=(2, 3)), 0.2),
+     {"pair": [1, 3], "distance": 1.0, "bound": 0.8}, P4, "2,3 0.2",
+     "[FAIL] T_DIAM r=0.2  witness: {'pair': [1, 3], 'distance': 1.0, 'bound': 0.8}"),
+    (("rough_limit_set", _nothing), check_ball_sandwich, (EpSequence(cycle=(2,)), R_CRIT),
+     {"inclusion": "ball_into_limit_set", "point": 1, "distance_to_limit": R_CRIT,
+      "limsup": R_CRIT, "degree": 2 * R_CRIT}, P4, "2 1",
+     "[FAIL] T_BALL_SANDWICH r=1  witness: {'inclusion': 'ball_into_limit_set', 'point': 1, "
+     "'distance_to_limit': 0.7071067811865475, 'limsup': 0.7071067811865475, 'degree': 2.0}"),
+    (("rough_limit_set", _everything), check_ball_sandwich, (EpSequence(cycle=(2,)), 0.2),
+     {"inclusion": "limit_set_into_ball", "point": 1, "distance_to_limit": R_CRIT,
+      "radius": 0.4}, P4, "2 0.2",
+     "[FAIL] T_BALL_SANDWICH r=0.2  witness: {'inclusion': 'limit_set_into_ball', 'point': 1, "
+     "'distance_to_limit': 0.7071067811865475, 'radius': 0.4}"),
+    (("derived_set", _every_point), check_derived_set, (EpSequence(cycle=(2, 3)), 0.2),
+     {"point": 1, "limsup": 1.0, "degree": 0.4}, P4, "2,3 0.2",
+     "[FAIL] T_DERIVED_SET r=0.2  witness: {'point': 1, 'limsup': 1.0, 'degree': 0.4}"),
+    (("derived_set", _every_point), check_derived_set, (EpSequence(cycle=("a",)), NEAR_ONE_R),
+     {"point": "b", "limsup": 1.0, "degree": NEAR_ONE_R,
+      "note": "limit set not closed despite control function 1"},
+     NEAR_ONE_DOC, f"a {NEAR_ONE_R}",
+     "[FAIL] T_DERIVED_SET r=0.9999999985  witness: {'point': 'b', 'limsup': 1.0, "
+     "'degree': 0.9999999985, 'note': 'limit set not closed despite control function 1'}"),
     (("boundedness", _unbounded), check_rough_implies_bounded, (EpSequence(cycle=(2, 3)), R_CRIT),
-     {"bound": math.inf}, "1", "[FAIL] T_ROUGH_BOUNDED r=1  witness: {'bound': inf}"),
+     {"bound": math.inf}, P4, "2,3 1", "[FAIL] T_ROUGH_BOUNDED r=1  witness: {'bound': inf}"),
+    (("limsup_distance", _far), check_bounded_implies_rough, (EpSequence(cycle=(2, 3)),),
+     {"point": 2, "limsup": 7.0, "degree": 4 * (R_CRIT + 1)}, P4, "2,3 1",
+     "[FAIL] T_BOUNDED_ROUGH  witness: {'point': 2, 'limsup': 7.0, 'degree': 6.82842712474619}"),
+    (("arithmetic_subsequence", _stray), check_subsequence, (EpSequence(cycle=(2, 3)), 0.8, 1, 2),
+     {"point": 3, "limsup_full": R_CRIT, "limsup_sub": 1.0, "r": 0.8}, P4, "2,3 0.8",
+     "[FAIL] T_SUBSEQ r=0.8  witness: {'point': 3, 'limsup_full': 0.7071067811865475, "
+     "'limsup_sub': 1.0, 'r': 0.8}"),
     (("limsup_distance", _far), check_shadowing,
      (EpSequence(cycle=(2,)), EpSequence(cycle=(2, 3)), 2 * R_CRIT),
-     {"limit": 2, "limsup": 7.0, "r": 2 * R_CRIT}, "2",
+     {"limit": 2, "limsup": 7.0, "r": 2 * R_CRIT}, P4, "2,3 2",
      "[FAIL] T_SHADOW r=2  witness: {'limit': 2, 'limsup': 7.0, 'r': 2.0}"),
     (("limsup_distance", _far), check_limitset_sequence,
      (EpSequence(cycle=(2, 3)), R_CRIT, EpSequence(cycle=(3,))),
-     {"probe_limit": 3, "limsup": 7.0, "degree": 2 * R_CRIT}, "2",
+     {"probe_limit": 3, "limsup": 7.0, "degree": 2 * R_CRIT}, P4, "2,3 2",
      "[FAIL] T_LIMSET_SEQ r=2  witness: {'probe_limit': 1, 'limsup': 7.0, 'degree': 4.0}"),
-], ids=["T_ROUGH_BOUNDED", "T_SHADOW", "T_LIMSET_SEQ"])
-def test_injected_fault_fails_the_check_cleanly(monkeypatch, paper4, fault, check, args,
-                                                witness, grid, line):
+    (("ball", _point_ball), check_cluster_ball, (EpSequence(cycle=(2, 3)), R_CRIT),
+     {"cluster_point": 2, "point": 3, "distance": R_CRIT, "radius": 2 * R_CRIT}, P4, "2,3 1",
+     "[FAIL] T_CLUSTER_BALL r=1  witness: {'cluster_point': 2, 'point': 1, "
+     "'distance': 0.7071067811865475, 'radius': 2.0}"),
+], ids=["T_DIAM", "T_BALL_SANDWICH-ball_into_limit_set", "T_BALL_SANDWICH-limit_set_into_ball",
+        "T_DERIVED_SET", "T_DERIVED_SET-closed", "T_ROUGH_BOUNDED", "T_BOUNDED_ROUGH", "T_SUBSEQ",
+        "T_SHADOW", "T_LIMSET_SEQ", "T_CLUSTER_BALL"])
+def test_injected_fault_fails_the_check_cleanly(monkeypatch, tmp_path, paper4, fault, check, args,
+                                                witness, source, cli, line):
+    space = paper4
+    if source != P4:
+        space = build_space(load_space(source))
+        path = tmp_path / "space.yaml"
+        path.write_text(source)
+        source = str(path)
     monkeypatch.setattr(theorems, *fault)
-    report = check(paper4, *args)
+    report = check(space, *args)
     assert (report.passed, report.applicable, report.witness) == (False, True, witness)
     assert rerun(report) == report
-    result = CliRunner().invoke(main, ["theorems", "paper-example:4", "--seq", "2,3",
-                                       "--r-grid", grid])
+    seq, grid = cli.split()
+    result = CliRunner().invoke(main, ["theorems", source, "--seq", seq, "--r-grid", grid])
     assert (result.exit_code, type(result.exception)) == (1, SystemExit)
     assert line in result.output.splitlines() and "Traceback" not in result.output
 
@@ -498,11 +570,12 @@ def test_render_summary_is_parseable():
     assert set(doc["results"]["per_theorem"]) == {tid.value for tid in TheoremId}
 
 
-def test_fuzz_counts_failures_from_broken_space(paper4):
-    # wire the broken space through run_all to confirm failures are counted
-    space = _broken_space()
-    seq = EpSequence(cycle=("c",))
-    reports = run_all(space, seq, [1.0])
-    failed = [rep for rep in reports if not rep.passed]
-    assert failed, "the broken table should trip at least one check"
-    assert all(rep.witness is not None for rep in failed)
+def test_fuzz_counts_failures_from_injected_fault(monkeypatch):
+    # at r = 100 every rough limit set is the whole space (distances are below 10),
+    # so an unbounded boundedness fails T_ROUGH_BOUNDED once per trial and nothing else
+    monkeypatch.setattr(theorems, "boundedness", _unbounded)
+    summary = fuzz(FuzzConfig(trials=5, seed=3, r_grid=(100.0,)))
+    assert summary.per_theorem["T_ROUGH_BOUNDED"] == {"pass": 0, "not_applicable": 0, "fail": 5}
+    assert sum(c["fail"] for c in summary.per_theorem.values()) == summary.failures == 5
+    assert [(w["trial"], w["theorem"], w["r"], w["witness"]) for w in summary.witnesses] == \
+        [(t, "T_ROUGH_BOUNDED", 100.0, {"bound": math.inf}) for t in range(5)]
