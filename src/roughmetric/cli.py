@@ -50,9 +50,9 @@ from .theorems import FuzzConfig, TheoremReport, default_r_grid, fuzz, render_su
 
 _PAPER_EXAMPLE = re.compile(r"^paper-example[:\s]+(\d+)$")
 
-#: Largest N accepted for ``paper-example:N``. Building the family and
-#: validating it each hold about four n x n float tables: peak RSS is about
-#: 30 MB + 33 B * N^2 (534 MB at N = 4,000, 817 MB at N = 5,000).
+#: Largest N accepted for ``paper-example:N``. Building the family holds
+#: about four n x n float tables, validating it about three: peak RSS is
+#: about 30 MB + 33 B * N^2 (534 MB at N = 4,000, 817 MB at N = 5,000).
 _PAPER_EXAMPLE_MAX = 5_000
 
 

@@ -114,8 +114,8 @@ class SpaceSpec:
             raise ShapeError("points must be distinct")
         n = len(points)
         try:
-            dist = np.asarray(self.dist, dtype=float).copy()
-            alpha = np.asarray(self.alpha, dtype=float).copy()
+            dist = np.array(self.dist, dtype=float)
+            alpha = np.array(self.alpha, dtype=float)
         except (TypeError, ValueError) as exc:
             raise ShapeError(f"tables must be numeric and rectangular: {exc}") from exc
         if dist.shape != (n, n):
@@ -146,46 +146,34 @@ class SpaceSpec:
         return len(self.points)
 
 
-def _d3_certified(d: np.ndarray, m: np.ndarray, low: np.ndarray) -> bool:
-    """Whether one whole-table test proves every row of the (d3) screen clean.
-
-    It holds when ``max d <= 2 * min low + TOLERANCE`` and ``m >= d``, tested
-    in that order; ``min low`` is the smallest ``m`` off the diagonal. It is
-    exact. Every sum through z outside {x, y} adds two entries off the
-    diagonal, so it is at least ``2 * min low``, as rounded addition is
-    monotone. And ``m >= d >= 0`` makes the diagonal of ``m`` nonnegative, so
-    every sum through z in {x, y} is at least ``m[x, y] >= d[x, y]``. A -inf
-    bound fails the ``<=``, so the floor decides.
-    """
-    return bool(d.max() <= 2 * low.min() + TOLERANCE and (m >= d).all())
-
-
 def _d3_live_rows(d: np.ndarray, m: np.ndarray) -> np.ndarray:
     """Ascending indices of the rows x that may hold a (d3) witness.
 
-    ``floor[x, y]`` is a lower bound, in O(n^2), on every right-hand side
-    ``m[x, z] + m[z, y]`` (``m = alpha * dist``) that the scan compares against
-    ``d[x, y]``. For z outside {x, y} the sum is at least ``low[x] + high[y]``,
-    the row and column minima off the diagonal, and rounded addition is
-    monotone, so a row with ``d[x, y] <= floor[x, y] + TOLERANCE`` for every y
-    holds no witness. The sums with z in {x, y} enter the floor as the very
-    floats the scan computes. ``low + high`` is nan only when one side is
-    +inf; every sum with z outside {x, y} is then +inf or nan, so ``fmin``
-    drops it and keeps the degenerate terms. The floor is not built when
-    :func:`_d3_certified` proves every row clean from the minima alone.
+    ``m = alpha * dist`` is :func:`validate_axioms`' own scratch table: its
+    diagonal is set to +inf to take the row minima in place, then put back
+    bit for bit. With ``low[x]`` the smallest ``m[x, z]`` off the diagonal,
+    row x is clean when ``max d[x] <= (low[x] + min low) + TOLERANCE``,
+    ``m[x] >= d[x]`` entrywise and m's whole diagonal is nonnegative. This
+    is exact. A sum through z outside {x, y} is ``m[x, z] + m[z, y]`` with
+    ``m[x, z] >= low[x]`` and ``m[z, y] >= min low``, as it lies off the
+    diagonal; rounded addition is monotone, so the sum plus the tolerance is
+    at least the bound. A sum through z in {x, y} adds a diagonal entry
+    (-0.0 included) to ``m[x, y] >= d[x, y]``. The association matters:
+    ``low + (min low + TOLERANCE)`` can round above a sum that a witness
+    beats (at TOLERANCE = 2^-53, low[x] = 1 and min low = 2^-53 it gives
+    1 + 2^-52, while the sum 1 + 2^-53 rounds to 1). m holds no nan, as
+    both tables are finite; a -inf entry makes the bound -inf or nan, which
+    fails the ``<=``, so that row is scanned.
     """
-    off = m.copy()
-    np.fill_diagonal(off, np.inf)
-    low, high = off.min(axis=1), off.min(axis=0)
-    if _d3_certified(d, m, low):
-        return np.empty(0, dtype=np.intp)
-    floor = low[:, None] + high
-    # once the minima are taken, off holds the sums through z = x, then z = y
-    diag = np.diagonal(m)
-    np.fmin(floor, np.add(diag[:, None], m, out=off), out=floor)
-    np.fmin(floor, np.add(m, diag, out=off), out=floor)
-    np.add(floor, TOLERANCE, out=floor)
-    return np.flatnonzero((d > floor).any(axis=1))
+    diag = np.einsum("ii->i", m)  # a writable view
+    saved = diag.copy()
+    diag[:] = np.inf
+    low = m.min(axis=1)
+    diag[:] = saved
+    clean = d.max(axis=1) <= (low + low.min()) + TOLERANCE
+    if clean.any():  # none on the all-live tables: skip the n^2 comparison
+        clean &= (m >= d).all(axis=1) & (saved.min() >= 0)
+    return np.flatnonzero(~clean)
 
 
 def validate_axioms(spec: SpaceSpec) -> ValidationResult:
@@ -195,9 +183,10 @@ def validate_axioms(spec: SpaceSpec) -> ValidationResult:
     z in {x, y} (they hold automatically when alpha >= 1, but scanning them
     catches table corruption). (d3) takes two exact passes in O(n^2) memory.
     Pass 1 takes each pair's smallest right-hand side over z, in blocks of x
-    rows; above one block it skips the rows that an O(n^2) lower bound proves
-    clean, and when d and alpha * d are both symmetric it scans each unordered
-    pair {x, y} once and copies the minimum to (y, x). Pass 2 searches z by z
+    rows; above one block it skips the rows that a per-row bound proves clean
+    (:func:`_d3_live_rows`, which borrows ``alpha * dist`` as scratch), and
+    when d and alpha * d are both symmetric it scans each unordered pair
+    {x, y} once and copies the minimum to (y, x). Pass 2 searches z by z
     only the pairs (x, y) that beat their minimum, in (x, y) order, so (d3)
     witnesses are built in lexicographic (x, y, z) order. Returns all
     violations found, each as a witness carrying the axiom id, the offending

@@ -80,9 +80,27 @@ def d3_witnesses_tensor(spec) -> list:
             for i, j, k in zip(x.tolist(), y.tolist(), z.tolist())]
 
 
+def d3_live_rows_rule(d: np.ndarray, m: np.ndarray) -> list:
+    """The (d3) screen's live rows by its per-row rule, from plain loops.
+
+    With low[x] the smallest m[x, z] over z != x and L the smallest low,
+    row x is clean when max_y d[x, y] <= (low[x] + L) + TOLERANCE, every
+    m[x, y] >= d[x, y], and every m[z, z] >= 0."""
+    d, m = d.tolist(), m.tolist()
+    n = len(d)
+    low = [min([v for z, v in enumerate(row) if z != x], default=math.inf)
+           for x, row in enumerate(m)]
+    least = min(low)
+    diagonal_ok = all(m[z][z] >= 0 for z in range(n))
+    return [x for x in range(n)
+            if not (max(d[x]) <= (low[x] + least) + TOLERANCE and diagonal_ok
+                    and all(m[x][y] >= d[x][y] for y in range(n)))]
+
+
 def d3_live_rows_floor(d: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """The (d3) screen's live rows from its O(n^2) floor alone, with no
-    whole-table shortcut: the reference for ``spaces._d3_live_rows``."""
+    """The (d3) live rows of an O(n^2) per-pair floor: each row's minimum off
+    the diagonal plus each column's, and the sums through z in {x, y}. Tighter
+    than the screen's rule, so its rows are a subset of the screen's."""
     off = m.copy()
     np.fill_diagonal(off, np.inf)
     floor = off.min(axis=1)[:, None] + off.min(axis=0)

@@ -23,6 +23,7 @@ import oracles
 from oracles import (
     axiom_violations_bruteforce,
     d3_live_rows_floor,
+    d3_live_rows_rule,
     d3_witnesses_bruteforce,
     d3_witnesses_tensor,
     paper_example_bruteforce,
@@ -198,14 +199,15 @@ def validate_peak_mb(spec) -> tuple:
 
 
 def test_d3_screen_without_live_rows_builds_no_floor():
-    # no live row: neither the screen's floor nor the scan's buffers are built
+    # no live row: the screen copies no n x n table and the scan builds no buffers;
+    # alpha * d (0.31 MB) is then the one n x n float table validate_axioms holds
     result, peak = validate_peak_mb(paper_example_spec(200))
-    assert result.valid and peak < 0.8
+    assert result.valid and peak < 0.5
     spec = with_entries(paper_example_spec(200), dist=[((0, 2), 1.5)])  # d(1, 3) x 1.5 one way
     result, peak = validate_peak_mb(spec)
     assert [(v.axiom, v.points, v.lhs, v.rhs) for v in result.violations] == \
         [("d2", (1, 3), 1.5, 1.0)]
-    assert peak < 0.8
+    assert peak < 0.5
 
 
 @pytest.fixture(params=[1, 7, 500, spaces._D3_BLOCK])
@@ -258,7 +260,7 @@ def test_d3_screen_keeps_witnesses_through_an_endpoint(d3_block, entries):
 
 def test_d3_screen_keeps_degenerate_term_when_bound_is_nan(d3_block):
     # Row 0 has alpha*d = +inf off the diagonal and column 0 holds a -inf, so
-    # low[0] + high[0] is nan; the z = x term -1 + -1 still breaks (d3) at (0, 0).
+    # low[0] + min low is nan; the z = x term -1 + -1 still breaks (d3) at (0, 0).
     n = 5
     dist = np.ones((n, n)) - np.eye(n)
     alpha = np.ones((n, n))
@@ -433,23 +435,16 @@ def test_d3_half_scan_live_row_with_clean_partner_below(d3_block):
     assert d3_matches_bruteforce(spec) == [((10, 20, 0), 2.5, 2.0), ((20, 10, 0), 2.5, 2.0)]
 
 
-def screen(spec) -> tuple[list, bool]:
-    """The (d3) screen's live rows, and whether the whole-table certificate gave them.
-
-    Checks them against the floor alone (the screen without the certificate)."""
-    verdicts = []
-    real = spaces._d3_certified
-
-    def certified(*args):
-        verdicts.append(real(*args))
-        return verdicts[-1]
-
-    with pytest.MonkeyPatch.context() as patch, np.errstate(over="ignore", invalid="ignore"):
-        patch.setattr(spaces, "_d3_certified", certified)
+def screen(spec) -> list:
+    """The (d3) screen's live rows, checked against the plain-loop form of its rule
+    and against the tighter per-pair floor, whose rows it must keep."""
+    with np.errstate(over="ignore", invalid="ignore"):
         m = spec.alpha * spec.dist
         live = spaces._d3_live_rows(spec.dist, m)
-        assert live.dtype == np.intp and live.tolist() == d3_live_rows_floor(spec.dist, m).tolist()
-    return live.tolist(), verdicts == [True]
+        floor = d3_live_rows_floor(spec.dist, m).tolist()
+    assert live.dtype == np.intp and live.tolist() == d3_live_rows_rule(spec.dist, m)
+    assert set(floor) <= set(live.tolist())
+    return live.tolist()
 
 
 def corrupted_table(rng):
@@ -491,53 +486,82 @@ def test_d3_certificate_keeps_the_live_set(d3_block, monkeypatch, tol):
     monkeypatch.setattr(spaces, "TOLERANCE", tol)
     monkeypatch.setattr(oracles, "TOLERANCE", tol)
     rng = np.random.default_rng([spaces._D3_BLOCK, tol == 0])
-    certified = 0
+    cleared = 0
     for _ in range(375):  # 3,000 tables over the eight parameter sets
         spec = corrupted_table(rng)
-        live, proved = screen(spec)
-        certified += proved
+        live = screen(spec)
+        cleared += not live
         with np.errstate(over="ignore", invalid="ignore"):
             violations = validate_axioms(spec).violations
         got = [(v.points, v.lhs, v.rhs) for v in violations if v.axiom == "d3"]
         assert got == d3_witnesses_tensor(spec)
-        assert not (proved and got)
-    assert certified >= 10
+        assert live or not got
+    assert cleared >= 10
 
 
 @pytest.mark.parametrize("tol", [spaces.TOLERANCE, 0.0])
 def test_d3_certificate_boundaries(monkeypatch, tol):
     monkeypatch.setattr(spaces, "TOLERANCE", tol)
     monkeypatch.setattr(oracles, "TOLERANCE", tol)
-    # unit simplex: every off-diagonal product is 1, so the bound is fl(2 + tol)
+    # unit simplex: every off-diagonal product is 1, so each row's bound is fl(2 + tol)
     bound = 2.0 + tol
     on = with_entries(unit_simplex(6), dist=[((0, 1), bound)])
-    assert screen(on) == ([], True)
+    assert screen(on) == []
     past = with_entries(on, dist=[((0, 1), np.nextafter(bound, 3))])
-    assert screen(past) == ([0], False)
-    # one short pair: d's max 1 is past the bound 0.4 + 0.4, and the floor clears every row
+    assert screen(past) == [0]
+    # one short pair: the least product 0.4 lowers every bound, and rows 0 and 1
+    # hold d = 1 against 0.4 + 0.4
     short = with_entries(unit_simplex(6), dist=[((0, 1), 0.4), ((1, 0), 0.4)])
-    assert screen(short) == ([], False)
-    # alpha(1, 2) just below 1: m < d on that pair, whose sum through z = y is 1 - ulp
+    assert screen(short) == [0, 1]
+    # alpha(1, 2) just below 1: m < d on that pair
     below = with_entries(unit_simplex(6), alpha=[((0, 1), np.nextafter(1.0, 0.0))])
-    assert screen(below) == ([0] if tol == 0 else [], False)
+    assert screen(below) == [0]
     # d(x, x) = 1 under an alpha diagonal of 0: m's diagonal is zero, but m < d
     zeroed = with_entries(unit_simplex(6), dist=[((2, 2), 1.0)], alpha=[((2, 2), 0.0)])
-    assert screen(zeroed) == ([2], False)
+    assert screen(zeroed) == [2]
+    # m(2, 2) = -1: every row's sum through z = 2 drops below its distance to 2
+    negative = with_entries(unit_simplex(6), dist=[((2, 2), 1.0)], alpha=[((2, 2), -1.0)])
+    assert screen(negative) == [0, 1, 2, 3, 4, 5]
+    assert ((0, 2, 2), 1.0, 0.0) in d3_witnesses_bruteforce(negative)
     # d(x, x) = 0.5 under a control of 1: a positive diagonal with m >= d holds no witness
     positive = with_entries(unit_simplex(6), dist=[((2, 2), 0.5)])
-    assert screen(positive) == ([], True)
+    assert screen(positive) == []
     # -0.0 on the diagonal of d, or from an alpha diagonal of -1
     signed = with_entries(paper_example_spec(30), dist=[((3, 3), -0.0)], alpha=[((5, 5), -1.0)])
-    assert screen(signed) == ([], True)
+    assert screen(signed) == []
     # +inf products only off the diagonal: every sum is +inf
     huge = SpaceSpec((0, 1, 2), np.full((3, 3), 1e300) * (1 - np.eye(3)), np.full((3, 3), 1e300))
-    assert screen(huge) == ([], True)
+    assert screen(huge) == []
     # one +inf product: d's max is past the bound
     inf = with_entries(unit_simplex(6), dist=[((0, 1), 1e300)], alpha=[((0, 1), 1e300)])
-    assert screen(inf) == ([0], False)
-    # one -inf product: the bound is -inf
+    assert screen(inf) == [0]
+    # one -inf product: every bound is -inf
     neg = with_entries(unit_simplex(6), dist=[((0, 1), 1e300)], alpha=[((0, 1), -1e300)])
-    assert screen(neg) == ([0, 1, 2, 3, 4, 5], False)
+    assert screen(neg) == [0, 1, 2, 3, 4, 5]
+
+
+def test_d3_screen_adds_the_least_product_before_the_tolerance(d3_block, monkeypatch):
+    # low[0] = 1 and min low = 2^-53: (1 + 2^-53) + 2^-53 rounds to 1, below d(0, 1),
+    # while 1 + (2^-53 + 2^-53) = 1 + 2^-52 would clear row 0 and miss (0, 1, 2)
+    tiny = 2.0**-53
+    monkeypatch.setattr(spaces, "TOLERANCE", tiny)
+    monkeypatch.setattr(oracles, "TOLERANCE", tiny)
+    far = 1 + 2 * tiny
+    spec = SpaceSpec((0, 1, 2), [[0, far, 1], [far, 0, tiny], [1, tiny, 0]], np.ones((3, 3)))
+    assert screen(spec) == [0, 1, 2]
+    assert d3_matches_bruteforce(spec) == [((0, 1, 2), far, 1.0), ((1, 0, 2), far, 1.0)]
+
+
+def test_d3_screen_restores_its_scratch_table():
+    spec = with_entries(paper_example_spec(30), dist=[((3, 3), -0.0), ((4, 4), 1e300),
+                                                      ((2, 9), 2.5)],
+                        alpha=[((4, 4), 1e300)])
+    with np.errstate(over="ignore"):
+        m = spec.alpha * spec.dist
+    assert np.signbit(m[3, 3]) and m[4, 4] == np.inf
+    before = m.tobytes()
+    assert spaces._d3_live_rows(spec.dist, m).tolist() == screen(spec) == [2, 4]
+    assert m.tobytes() == before
 
 
 def symmetrized(spec):
@@ -662,6 +686,16 @@ def test_closed_ball_golden():
 def test_ball_radius_zero():
     assert ball(PAPER6, 3, 0.0, "open").members == set()
     assert ball(PAPER6, 3, 0.0, "closed").members == {3}
+
+
+def test_ball_boundaries_take_the_tolerance(monkeypatch):
+    # from point 1 of PAPER6, points 3 and 5 lie at distance 1 and the rest nearer
+    assert ball(PAPER6, 1, 1 - 5e-10, "closed").members == {1, 2, 3, 4, 5, 6}
+    assert ball(PAPER6, 1, 1 + 5e-10, "open").members == {1, 2, 4, 6}
+    monkeypatch.setattr(spaces, "TOLERANCE", 0.0)
+    assert ball(PAPER6, 1, 1.0, "closed").members == {1, 2, 3, 4, 5, 6}
+    assert ball(PAPER6, 1, 1.0, "open").members == {1, 2, 4, 6}
+    assert ball(PAPER6, 1, np.nextafter(1.0, 2.0), "open").members == {1, 2, 3, 4, 5, 6}
 
 
 def test_ball_errors():
