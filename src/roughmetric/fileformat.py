@@ -52,7 +52,10 @@ def parse_real(value, where: str = "value") -> float:
     if isinstance(value, bool):
         raise LoadError(f"{where}: expected a real number, got {value!r}")
     if isinstance(value, (int, float)):
-        return float(value)
+        try:
+            return float(value)
+        except OverflowError:  # an int beyond the float range
+            raise LoadError(f"{where}: integer too large for a real number") from None
     if isinstance(value, str):
         m = _EXPR_RE.match(value)
         if not m:
@@ -143,7 +146,7 @@ def _load_space(text: str) -> SpaceSpec:
 
     try:
         doc = _parse(text)
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, ValueError) as exc:  # ValueError: an int past int's digit limit
         mark = getattr(exc, "problem_mark", None)
         at = f" at line {mark.line + 1}" if mark is not None else ""
         raise LoadError(f"invalid document syntax{at}: {exc}") from exc

@@ -176,14 +176,37 @@ def _d3_live_rows(d: np.ndarray, m: np.ndarray) -> np.ndarray:
     return np.flatnonzero(~clean)
 
 
+def _min_plus(m: np.ndarray, mt: np.ndarray, rows: np.ndarray, half: bool) -> np.ndarray:
+    """The min-plus product ``min_z m[x, z] + m[z, y]`` for x in ``rows`` (ascending) and
+    every y; fmin skips nan sums. ``mt`` is ``m.T`` in C order. Blocks of x rows hold about
+    ``_D3_BLOCK`` sums. With ``half`` (m symmetric) a block starts at its first row's column
+    and the pairs within ``rows`` are mirrored, so (x, y) with y < x outside ``rows`` may
+    stay +inf."""
+    n = m.shape[0]
+    m_rows = m[rows]  # gathered once, so each block is a slice
+    step = max(1, min(rows.size, _D3_BLOCK // (n * n)))
+    buf = np.empty((step, n, n))
+    low = np.full((rows.size, n), np.inf)
+    for s in range(0, rows.size, step):
+        block, y0 = m_rows[s : s + step], rows[s] if half else 0
+        sums = buf[: len(block), : n - y0]  # sums[i, y - y0, z] with x = rows[s + i]
+        np.add(block[:, None, :], mt[None, y0:, :], out=sums)
+        np.fmin.reduce(sums, axis=2, out=low[s : s + step, y0:])
+    if half:
+        pair = low[:, rows]
+        low[:, rows] = np.fmin(pair, pair.T)
+    return low
+
+
 def validate_axioms(spec: SpaceSpec) -> ValidationResult:
     """Check every axiom exhaustively; n^3 triple evaluations for (d3).
 
     All ordered triples are scanned, including the degenerate ones with
     z in {x, y} (they hold automatically when alpha >= 1, but scanning them
     catches table corruption). (d3) takes two exact passes in O(n^2) memory.
-    Pass 1 takes each pair's smallest right-hand side over z, in blocks of x
-    rows; above one block it skips the rows that a per-row bound proves clean
+    Pass 1 takes each pair's smallest right-hand side over z, the min-plus
+    product of alpha * dist in blocks of x rows (:func:`_min_plus`); above
+    one block it skips the rows that a per-row bound proves clean
     (:func:`_d3_live_rows`, which borrows ``alpha * dist`` as scratch), and
     when d and alpha * d are both symmetric it scans each unordered pair
     {x, y} once and copies the minimum to (y, x). Pass 2 searches z by z
@@ -229,24 +252,12 @@ def validate_axioms(spec: SpaceSpec) -> ValidationResult:
         live = np.arange(n) if n**3 <= _D3_BLOCK else _d3_live_rows(d, m)
         if live.size == 0:  # as in most valid tables above one block: no scan buffers
             return ValidationResult(tuple(violations))
-        m_live = m[live]  # gathered once, so each block is a slice
         mt = np.ascontiguousarray(m.T)
         # With d and m symmetric (m has no nan: both tables are finite), (y, x, z)
-        # is the inequality at (x, y, z) with the same floats, m[y,z] + m[z,x]
-        # being the commuted sum; so row x scans only y >= x.
+        # is (x, y, z) with the commuted sum m[y,z] + m[z,x], so row x scans only
+        # y >= x; a pair left at +inf has its row y < x proved clean by the screen.
         half = asymmetric.size == 0 and not np.count_nonzero(m != mt)
-        rows = max(1, min(live.size, _D3_BLOCK // (n * n)))
-        rhs_buf = np.empty((rows, n, n))
-        low = np.full((live.size, n), np.inf)  # pass 1: each pair's smallest sum
-        for s in range(0, live.size, rows):
-            k = min(rows, live.size - s)
-            y0 = live[s] if half else 0
-            rhs = rhs_buf[:k, : n - y0]  # rhs[i, y - y0, z] with x = live[s + i]
-            np.add(m_live[s : s + k, None, :], mt[None, y0:, :], out=rhs)
-            np.fmin.reduce(rhs, axis=2, out=low[s : s + k, y0:])
-        if half:  # (x, y) with y < x takes row y's minimum; +inf if the screen proved row y clean
-            pair = low[:, live]
-            low[:, live] = np.fmin(pair, pair.T)
+        low = _min_plus(m, mt, live, half)  # pass 1: each pair's smallest sum
         # pass 2, exact: fl(t + tol) is monotone in t, and fmin skips nan sums, which
         # never witness. The flagged pairs come in (x, y) order and are searched z by z.
         i, y = np.nonzero(d[live] > low + TOLERANCE)

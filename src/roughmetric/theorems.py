@@ -26,8 +26,8 @@ from .sequences import (
     is_convergent,
     limsup_distance,
 )
-from .spaces import (ControlledSpace, SpaceSpec, _farthest_pair, ball, build_space, diameter,
-                     leq, nonnegative)
+from .spaces import (ControlledSpace, SpaceSpec, _farthest_pair, _min_plus, ball, build_space,
+                     diameter, leq, nonnegative)
 
 
 class TheoremId(Enum):
@@ -305,9 +305,9 @@ def run_all(space: ControlledSpace, seq: EpSequence, r_grid: Sequence[float],
 
 # --- randomized generation and the fuzz harness ---
 
-#: Largest ``max_points`` a fuzz run accepts. ``random_space`` keeps one n^3
-#: float table alive, 8 B * n^3 (64 MB at n = 200), and n = 1,000 would
-#: already need 8 GB.
+#: Largest ``max_points`` a fuzz run accepts. The bound is on time: a space
+#: is validated over all n^3 triples, and ``random_space`` takes the same
+#: min-plus product once more, each in O(n^2) memory.
 _FUZZ_MAX_POINTS = 200
 #: Largest ``max_cycle`` and ``max_prefix``. ``random_sequence`` draws all
 #: their terms in one array and the checks walk them term by term, so memory
@@ -353,12 +353,12 @@ def random_space(rng: np.random.Generator, max_points: int) -> ControlledSpace:
     triangle-type axiom then holds pointwise by construction.
     """
     n = 1 if max_points == 1 else int(rng.integers(2, max_points + 1))
-    draw = rng.uniform(0.1, 10.0, size=(n, n))
-    d = np.triu(draw, 1)
+    d = np.triu(rng.uniform(0.1, 10.0, size=(n, n)), 1)
     d = d + d.T
     # fl(d / s) does not grow with s, so each pair's largest ratio is at its smallest
     # sum; z in {x, y} gives the sum d(x, y), ratio 1, which max(1, .) absorbs
-    hop = (d[:, :, None] + d[None, :, :]).min(axis=1)  # hop[x, y] = min_z d(x,z) + d(z,y)
+    # hop[x, y] = min_z d(x,z) + d(z,y); d is symmetric, so it is its own transpose
+    hop = _min_plus(d, d, np.arange(n), half=True)
     np.fill_diagonal(hop, np.inf)  # d(x, x) = 0: the ratio is 0
     k_floor = float((d / hop).max())
     alpha = max(1.0, k_floor) * (1.0 + rng.uniform(0.0, 1.0, size=(n, n)))

@@ -53,6 +53,12 @@ MUTANTS = {
         "spaces.py", "clean &= (m >= d).all(axis=1) & ", "clean &= ", SPACES),
     "screen-diagonal-not-restored": Mutant(
         "spaces.py", "    diag[:] = saved\n", "", SPACES),
+    # the min-plus kernel behind (d3) and random_space's k floor
+    "min-plus-no-mirror": Mutant(
+        "spaces.py", "low[:, rows] = np.fmin(pair, pair.T)", "low[:, rows] = pair", SPACES),
+    "min-plus-block-start": Mutant(
+        "spaces.py", "y0 = m_rows[s : s + step], rows[s] if",
+        "y0 = m_rows[s : s + step], rows[s] + 1 if", SPACES),
     # tolerances, indexing and ordering named by earlier mutation checks
     "leq-strict": Mutant(
         "spaces.py", "return a <= b + TOLERANCE", "return a < b + TOLERANCE", CHECKS),

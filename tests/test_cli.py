@@ -112,6 +112,41 @@ def test_validate_structured_output():
     assert doc == {"points": 4, "valid": True, "violations": []}
 
 
+def test_validate_structured_lists_every_violation(tmp_path):
+    doc = tmp_path / "every.space"
+    doc.write_text(EVERY_AXIOM_DOC)
+    result = run("validate", str(doc), "--format", "structured")
+    assert result.exit_code == 1
+    assert yaml.safe_load(result.output) == {"points": 3, "valid": False, "violations": [
+        {"axiom": axiom, "points": list(points), "lhs": lhs, "rhs": rhs}
+        for axiom, points, lhs, rhs in [
+            ("d1", "11", 0.5, 0.0), ("d1", "12", 0.0, 0.0), ("d1", "21", 0.0, 0.0),
+            ("d2", "23", 1.0, 2.0), ("alpha", "33", 0.5, 1.0), ("d3", "112", 0.5, 0.0),
+            ("d3", "132", 9.0, 1.0), ("d3", "312", 9.0, 2.0)]]}
+
+
+# 8 points at distance 1 under alpha = 0.5: 64 alpha witnesses, then the 112
+# (d3) witnesses (x, y, x) and (x, y, y) with x != y, whose sum is 0.5
+MANY_VIOLATIONS_DOC = "".join([
+    "points: [1, 2, 3, 4, 5, 6, 7, 8]\ndist:\n",
+    *(f"- {[int(i != j) for j in range(8)]}\n" for i in range(8)),
+    "alpha:\n", *(f"- {[0.5] * 8}\n" for _ in range(8)),
+])
+
+
+def test_validate_text_lists_the_first_50_violations(tmp_path):
+    doc = tmp_path / "many.space"
+    doc.write_text(MANY_VIOLATIONS_DOC)
+    result = run("validate", str(doc))
+    assert result.exit_code == 1
+    alpha = [f"  axiom alpha fails at ({x}, {y}): 0.5 < 1"
+             for x in range(1, 9) for y in range(1, 9)]
+    assert result.output.splitlines() == [
+        "INVALID: 176 violation(s)", *alpha[:50], "  ... and 126 more"]
+    structured = yaml.safe_load(run("validate", str(doc), "--format", "structured").output)
+    assert len(structured["violations"]) == 176  # the structured form is not cut
+
+
 def test_validate_missing_file_is_usage_error():
     assert run("validate", "no/such/file.space").exit_code == 2
 
@@ -184,6 +219,19 @@ def test_non_finite_degree_is_usage_error(args):
     assert result.exit_code == 2
     assert isinstance(result.exception, SystemExit)  # no traceback escaped
     assert "r must be finite, got 1e400" in result.output
+
+
+@pytest.mark.parametrize("degrees, code, tail", [
+    (",", 2, "Error: no r values given\n"),
+    ("1,abc", 2, "Error: r: cannot parse 'abc' "
+                 "(expected a number, sqrt(x), or a single division of those)\n"),
+    ("0,,1", 0, "rough limit set (r = 0): {}\nrough limit set (r = 1): {1, 2, 3, 4}\n"),
+])
+def test_degree_list_errors_and_empty_tokens(degrees, code, tail):
+    result = run("analyze", "paper-example:4", "--seq", "1,2", "--r", degrees)
+    assert result.exit_code == code
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert result.output.endswith(tail)
 
 
 def test_degree_whose_product_with_k_overflows_is_accepted():

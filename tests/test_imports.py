@@ -2,7 +2,8 @@
 somewhere in it, and PyYAML is not loaded until a document is read or written.
 Also who reads the tolerance, ``spaces`` alone; who builds a ``Violation``: one
 function of ``spaces``; and who runs ``validate_axioms``: a space on
-construction, and the ``validate`` command."""
+construction, and the ``validate`` command; and who takes the min-plus product
+behind (d3): one blocked kernel, called by the validator and ``random_space``."""
 
 import ast
 import os
@@ -98,3 +99,26 @@ def test_only_a_new_space_and_the_validate_command_run_the_validator():
     # every other caller gets a space, which is valid by construction
     assert _loads_by_file("validate_axioms") == {
         "cli.py": ["validate"], "spaces.py": ["ControlledSpace.__post_init__"]}
+
+
+def _broadcast_sums(tree: ast.Module) -> list[int]:
+    """Lines of an operator between two subscripts that each add a ``None`` axis,
+    such as ``d[:, :, None] + d[None, :, :]``: an outer sum over every index."""
+    def adds_axis(node):
+        if not isinstance(node, ast.Subscript):
+            return False
+        index = node.slice.elts if isinstance(node.slice, ast.Tuple) else [node.slice]
+        return any(isinstance(e, ast.Constant) and e.value is None for e in index)
+
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.BinOp) and adds_axis(node.left) and adds_axis(node.right)]
+
+
+def test_one_kernel_takes_the_min_plus_product():
+    # the kernel's blocks are written into one buffer through np.add(..., out=...)
+    assert _broadcast_sums(ast.parse("hop = (d[:, :, None] + d[None, :, :]).min(axis=1)")) == [1]
+    sums = {path.name: lines for path in sorted((SRC / "roughmetric").glob("*.py"))
+            if (lines := _broadcast_sums(ast.parse(path.read_text())))}
+    assert sums == {}
+    assert _loads_by_file("_min_plus") == {
+        "spaces.py": ["validate_axioms"], "theorems.py": ["random_space"]}

@@ -176,6 +176,50 @@ def test_d3_blocked_scan_matches_bruteforce_witnesses(monkeypatch, block):
         assert got == d3_witnesses_bruteforce(spec)
 
 
+def min_plus_tensor(m):
+    """The min-plus product through the n^3 table of sums s[x, y, z] = m[x, z] + m[z, y],
+    reduced over z along the same contiguous axis as the kernel's blocks."""
+    with np.errstate(invalid="ignore"):
+        return np.fmin.reduce(m[:, None, :] + m.T[None, :, :], axis=2)
+
+
+def same_bits(a, b):
+    """Entrywise bit equality, up to the sign of a zero: fmin of -0.0 and +0.0
+    returns either, so a zero's sign depends on the order of the reduction."""
+    return (a + 0.0).view(np.int64) == (b + 0.0).view(np.int64)
+
+
+@pytest.mark.parametrize("block", ["1", "n", "n^2", "3n^2", "default"])
+def test_min_plus_matches_the_n3_form_bit_for_bit(monkeypatch, block):
+    rng = np.random.default_rng(26)
+    for n in (1, 2, 5, 13, 30):
+        size = {"1": 1, "n": n, "n^2": n * n, "3n^2": 3 * n * n, "default": spaces._D3_BLOCK}
+        monkeypatch.setattr(spaces, "_D3_BLOCK", size[block])
+        garbage = adversarial_garbage(rng, n)  # +-inf products, so some sums are nan
+        upper = np.triu(rng.uniform(0.1, 10.0, (n, n)), 1)  # random_space's table
+        tables = [(garbage, False), (symmetrized(garbage), True),
+                  (SpaceSpec(garbage.points, upper + upper.T, np.ones((n, n))), True)]
+        strict = [rows for rows in (np.array([0]), np.array([n - 1]),
+                                    np.flatnonzero(rng.random(n) < 0.5)) if 0 < rows.size < n]
+        for spec, symmetric in tables:
+            with np.errstate(over="ignore", invalid="ignore"):
+                m = spec.alpha * spec.dist
+            ref = min_plus_tensor(m)
+            mt = np.ascontiguousarray(m.T)
+            for rows in (np.arange(n), *strict):
+                for half in (False, True) if symmetric else (False,):
+                    with np.errstate(over="ignore", invalid="ignore"):
+                        got = spaces._min_plus(m, mt, rows, half)
+                    assert got.shape == (rows.size, n)
+                    exact = same_bits(got, ref[rows])
+                    if half:  # (x, y) with y < x outside rows may be left at +inf
+                        cols = np.arange(n)
+                        kept = (cols >= rows[:, None]) | np.isin(cols, rows)
+                        assert (exact | np.isposinf(got))[~kept].all()
+                        exact = exact[kept]
+                    assert exact.all(), (n, block, rows.tolist(), half)
+
+
 def test_d3_scan_memory_is_quadratic():
     spec = paper_example_spec(200)
     tracemalloc.start()

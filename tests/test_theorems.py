@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -443,11 +444,16 @@ def test_random_space_single_point():
     assert space.points == (1,)
 
 
+def seed_drawing(n: int) -> int:
+    """The first seed whose ``random_space(rng, n)`` draws exactly n points."""
+    return next(s for s in range(10_000)
+                if n == 1 or np.random.default_rng(s).integers(2, n + 1) == n)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 12, 60])
 def test_random_space_k_floor_matches_bruteforce(n):
     # a seed whose draw has exactly n points, replayed by hand against the n^3 ratio tensor
-    seed = next(s for s in range(10_000)
-                if n == 1 or np.random.default_rng(s).integers(2, n + 1) == n)
+    seed = seed_drawing(n)
     rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
     space = random_space(rng, n)
     if n > 1:
@@ -458,6 +464,17 @@ def test_random_space_k_floor_matches_bruteforce(n):
     assert space.n == n
     assert np.array_equal(space.dist, d) and np.array_equal(space.alpha, alpha)
     assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def test_random_space_memory_is_quadratic():
+    rng = np.random.default_rng(seed_drawing(200))
+    tracemalloc.start()
+    try:
+        assert random_space(rng, 200).n == 200
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 2**20  # the n^3 table of sums alone is 61 MiB
 
 
 def test_random_sequence_respects_limits():
