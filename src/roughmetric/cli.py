@@ -189,7 +189,7 @@ def analyze(space_source: str, seq_literal: str, r_list: str, fmt: str):
     """Full sequence analysis: constants, limsups, convergence, rough limit sets."""
     space = _build(_load_spec(space_source))
     seq = _sequence(space, seq_literal)
-    degrees = _r_values(r_list) if r_list else []
+    degrees = _r_values(r_list) if r_list is not None else []
     limit = is_convergent(seq, space)
     crit = critical_roughness(seq, space)
     limsups = {p: limsup_distance(seq, space, p) for p in space.points}
@@ -274,7 +274,7 @@ def theorems(space_source: str, seq_literal: str, r_grid: str, offset: int, stri
     """Run every theorem check over a grid of roughness degrees."""
     space = _build(_load_spec(space_source))
     seq = _sequence(space, seq_literal)
-    grid = _r_values(r_grid) if r_grid else list(default_r_grid(space, seq))
+    grid = _r_values(r_grid) if r_grid is not None else list(default_r_grid(space, seq))
     if offset < 1 or stride < 1:
         raise click.UsageError("offset and stride must be >= 1")
     reports = run_all(space, seq, grid, offset=offset, stride=stride)
@@ -314,7 +314,7 @@ def fuzz_cmd(trials: int, max_points: int, max_cycle: int, max_prefix: int, seed
         config = FuzzConfig(
             trials=trials, max_points=max_points, max_cycle=max_cycle,
             max_prefix=max_prefix, seed=seed,
-            r_grid=tuple(_r_values(r_grid)) if r_grid else None,
+            r_grid=tuple(_r_values(r_grid)) if r_grid is not None else None,
         )
     except ValueError as exc:
         raise click.UsageError(str(exc))

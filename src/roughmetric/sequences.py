@@ -49,9 +49,6 @@ class EpSequence:
         """All values the sequence ever takes."""
         return frozenset(self.prefix) | frozenset(self.cycle)
 
-    def __repr__(self) -> str:
-        return f"EpSequence(prefix={list(self.prefix)!r}, cycle={list(self.cycle)!r})"
-
 
 @dataclass(frozen=True)
 class BoundednessReport:
@@ -61,14 +58,10 @@ class BoundednessReport:
     bound: float
 
 
-def _unknown_points(seq: EpSequence, space: ControlledSpace) -> ValueError:
-    unknown = seq.value_set - frozenset(space.points)
-    return ValueError(f"sequence uses points not in the space: {sorted(map(repr, unknown))}")
-
-
 def _require_points(seq: EpSequence, space: ControlledSpace) -> None:
     if not space.contains_all(seq.value_set):
-        raise _unknown_points(seq, space)
+        unknown = seq.value_set - frozenset(space.points)
+        raise ValueError(f"sequence uses points not in the space: {sorted(map(repr, unknown))}")
 
 
 def limsup_vector(seq: EpSequence, space: ControlledSpace) -> np.ndarray:
@@ -79,9 +72,7 @@ def limsup_vector(seq: EpSequence, space: ControlledSpace) -> np.ndarray:
     gap and the prefix is finite, so it is both an eventual upper bound and is
     approached infinitely often.
     """
-    # Checked inline, not through _require_points: every rough query calls this.
-    if not space.contains_all(seq.value_set):
-        raise _unknown_points(seq, space)
+    _require_points(seq, space)
     return space.row_max(seq.tail_set)
 
 

@@ -309,9 +309,6 @@ class ControlledSpace:
         positive = self.dist[self.dist > 0]
         return float(positive.min()) if positive.size else math.inf
 
-    def __contains__(self, point) -> bool:
-        return point in self._point_set
-
     def contains_all(self, points: Iterable) -> bool:
         return self._point_set.issuperset(points)
 

@@ -10,11 +10,6 @@ def paper4():
 
 
 @pytest.fixture(scope="session")
-def paper6():
-    return build_space(paper_example_spec(6))
-
-
-@pytest.fixture(scope="session")
 def paper10():
     return build_space(paper_example_spec(10))
 

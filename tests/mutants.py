@@ -38,6 +38,8 @@ class Mutant(NamedTuple):
 
 SPACES = ("tests/test_spaces.py",)
 CHECKS = ("tests/test_spaces.py", "tests/test_rough.py", "tests/test_theorems.py")
+CLI = ("tests/test_cli.py",)
+FILEFORMAT = ("tests/test_fileformat.py",)
 
 MUTANTS = {
     # the (d3) screen's per-row rule
@@ -70,6 +72,33 @@ MUTANTS = {
     "farthest-pair-unsorted": Mutant(
         "spaces.py", "idx = sorted(space.index(p) for p in set(subset))",
         "idx = list(space.index(p) for p in set(subset))", CHECKS),
+    # guards on outside input, each reached by one test input
+    "limsup-no-point-check": Mutant(
+        "sequences.py", "    _require_points(seq, space)\n    return space.row_max",
+        "    return space.row_max", ("tests/test_rough.py",)),
+    "spec-no-alpha-shape": Mutant(
+        "spaces.py", "if alpha.shape != (n, n):", "if False:", SPACES),
+    "spec-eq-false": Mutant(
+        "spaces.py", "return NotImplemented", "return False", SPACES),
+    "table-not-list": Mutant(
+        "fileformat.py", "if not isinstance(rows, list):", "if False:", FILEFORMAT),
+    "table-row-not-list": Mutant(
+        "fileformat.py", "if not isinstance(row, list):", "if False:", FILEFORMAT),
+    "dump-bool-id": Mutant(
+        "fileformat.py", "isinstance(p, bool) or not isinstance(p, (int, str)):\n        raise ValueError",
+        "not isinstance(p, (int, str)):\n        raise ValueError", FILEFORMAT),
+    "tolerance-parse-error-escapes": Mutant(
+        "cli.py", "except ValueError:\n        raise click", "except TypeError:\n        raise click", CLI),
+    "tolerance-infinite": Mutant(
+        "cli.py", "tol >= 0 and math.isfinite(tol)", "tol >= 0", CLI),
+    "analyze-empty-degrees": Mutant(
+        "cli.py", "if r_list is not None", "if r_list", CLI),
+    "theorems-empty-grid": Mutant(
+        "cli.py", "_r_values(r_grid) if r_grid is not None else list(",
+        "_r_values(r_grid) if r_grid else list(", CLI),
+    "fuzz-empty-grid": Mutant(
+        "cli.py", "tuple(_r_values(r_grid)) if r_grid is not None",
+        "tuple(_r_values(r_grid)) if r_grid", CLI),
 }
 
 

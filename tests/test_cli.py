@@ -226,12 +226,19 @@ def test_non_finite_degree_is_usage_error(args):
     ("1,abc", 2, "Error: r: cannot parse 'abc' "
                  "(expected a number, sqrt(x), or a single division of those)\n"),
     ("0,,1", 0, "rough limit set (r = 0): {}\nrough limit set (r = 1): {1, 2, 3, 4}\n"),
+    ("", 2, "Error: no r values given\n"),
 ])
 def test_degree_list_errors_and_empty_tokens(degrees, code, tail):
     result = run("analyze", "paper-example:4", "--seq", "1,2", "--r", degrees)
     assert result.exit_code == code
     assert result.exception is None or isinstance(result.exception, SystemExit)
     assert result.output.endswith(tail)
+    if code == 2:  # the grids of theorems and fuzz are read the same way
+        for args in (("theorems", "paper-example:4", "--seq", "1,2", "--r-grid", degrees),
+                     ("fuzz", "--trials", "2", "--r-grid", degrees)):
+            result = run(*args)
+            assert (result.exit_code, result.output[-len(tail):]) == (2, tail)
+            assert isinstance(result.exception, SystemExit)
 
 
 def test_degree_whose_product_with_k_overflows_is_accepted():
@@ -462,8 +469,14 @@ alpha:
     ("inf", "ROUGHMETRIC_TOL must be finite and >= 0, got inf"),
     ("nan", "ROUGHMETRIC_TOL must be finite and >= 0, got nan"),
 ])
-def test_bad_tolerance_is_usage_error(raw, message):
-    # A real process: the variable used to be read while the library was imported.
+def test_bad_tolerance_is_usage_error(raw, message, tolerance_env):
+    tolerance_env(raw)
+    result = run("validate", "paper-example:3")
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert result.output.endswith(f"Error: {message}\n")
+    assert spaces.TOLERANCE == 1e-9
+    # A real process too: the variable used to be read while the library was imported.
     src = str(Path(roughmetric.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src, "ROUGHMETRIC_TOL": raw}
     proc = subprocess.run([sys.executable, "-m", "roughmetric.cli", "validate", "paper-example:3"],

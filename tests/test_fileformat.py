@@ -126,6 +126,10 @@ def test_missing_or_misshapen_tables_are_shape_errors():
         load_space("points: [a, b]\ndist:\n- [0, 1]\nalpha:\n- [1, 1]\n- [1, 1]\n")
     with pytest.raises(ShapeError):
         load_space("points: [a, b]\ndist:\n- [0, 1, 2]\n- [1, 0, 2]\nalpha:\n- [1, 1]\n- [1, 1]\n")
+    with pytest.raises(ShapeError, match="^dist must be a list of rows$"):
+        load_space("points: [a, b]\ndist: 1\nalpha:\n- [1, 1]\n- [1, 1]\n")
+    with pytest.raises(ShapeError, match="^alpha row 1 must be a list$"):
+        load_space("points: [a, b]\ndist:\n- [0, 1]\n- [1, 0]\nalpha:\n- [1, 1]\n- 1\n")
 
 
 # --- the two parser paths ---
@@ -269,6 +273,13 @@ def test_dump_round_trips_ids_yaml_would_resolve(ids):
     again = load_space(dump_space(spec))
     assert again.points == spec.points
     assert load_space(dump_space(again)).points == spec.points
+
+
+@pytest.mark.parametrize("point", [1.5, True])
+def test_dump_rejects_ids_a_document_cannot_hold(point):
+    spec = SpaceSpec((point, "b"), [[0, 1], [1, 0]], np.ones((2, 2)))
+    with pytest.raises(ValueError, match=f"^cannot serialize point id {point!r}$"):
+        dump_space(spec)
 
 
 def test_dump_uses_12_significant_digits():

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,11 +10,13 @@ from roughmetric import (
     EpSequence,
     InvalidSpaceError,
     SpaceSpec,
+    boundedness,
     build_space,
     cluster_points,
     critical_roughness,
     derived_set,
     diameter,
+    is_cauchy,
     is_convergent,
     is_rough_limit,
     limsup_distance,
@@ -269,9 +272,14 @@ def test_unknown_prefix_point_raises_after_tail_set_is_cached(paper4):
         lambda: is_rough_limit(bad, paper4, 1, 1.0),
         lambda: rough_limit_set(bad, paper4, 1.0),
         lambda: critical_roughness(bad, paper4),
+        lambda: cluster_points(bad, paper4),
+        lambda: is_convergent(bad, paper4),
+        lambda: is_cauchy(bad, paper4),
+        lambda: boundedness(bad, paper4),
     )
     for query in queries:
-        with pytest.raises(ValueError, match="not in the space"):
+        with pytest.raises(ValueError, match=re.escape(
+                "sequence uses points not in the space: ['99']")):
             query()
 
 

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -648,6 +649,8 @@ def test_spec_rejects_bad_structure():
         SpaceSpec(("a", "a"), np.zeros((2, 2)), np.ones((2, 2)))
     with pytest.raises(ShapeError):
         SpaceSpec(("a", "b"), np.zeros((2, 3)), np.ones((2, 2)))
+    with pytest.raises(ShapeError, match=re.escape("alpha must be 2x2, got (2, 1)")):
+        SpaceSpec(("a", "b"), np.zeros((2, 2)), np.ones((2, 1)))
     with pytest.raises(ShapeError):
         SpaceSpec(("a", "b"), [[0, 1], [1]], np.ones((2, 2)))
     with pytest.raises(ShapeError):
@@ -656,6 +659,13 @@ def test_spec_rejects_bad_structure():
         SpaceSpec(("a", "b"), [[0, math.inf], [math.inf, 0]], np.ones((2, 2)))
     with pytest.raises(ShapeError):
         SpaceSpec(("a", "b"), np.zeros((2, 2)), [[1, math.inf], [1, 1]])
+
+
+def test_spec_equals_only_specs():
+    spec = paper_example_spec(3)
+    assert spec == paper_example_spec(3)
+    assert spec != object()
+    assert spec.__eq__(object()) is NotImplemented  # not False: the other operand may answer
 
 
 def test_tables_are_immutable():
