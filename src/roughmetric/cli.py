@@ -35,7 +35,7 @@ from .fileformat import (
     sequence_literal,
 )
 from .rough import cluster_points, critical_roughness, rough_limit_set
-from .sequences import EpSequence, is_cauchy, is_convergent, limsup_distance
+from .sequences import EpSequence, is_cauchy, is_convergent, limsup_vector
 from .spaces import (
     ControlledSpace,
     InvalidSpaceError,
@@ -192,7 +192,7 @@ def analyze(space_source: str, seq_literal: str, r_list: str, fmt: str):
     degrees = _r_values(r_list) if r_list is not None else []
     limit = is_convergent(seq, space)
     crit = critical_roughness(seq, space)
-    limsups = {p: limsup_distance(seq, space, p) for p in space.points}
+    limsups = dict(zip(space.points, limsup_vector(seq, space).tolist()))
     limsets = {r: rough_limit_set(seq, space, r).members for r in degrees}
     if fmt == "structured":
         _echo_yaml({
@@ -301,11 +301,11 @@ def theorems(space_source: str, seq_literal: str, r_grid: str, offset: int, stri
 
 
 @main.command(name="fuzz")
-@click.option("--trials", default=1000, show_default=True)
-@click.option("--max-points", default=12, show_default=True)
-@click.option("--max-cycle", default=4, show_default=True)
-@click.option("--max-prefix", default=3, show_default=True)
-@click.option("--seed", default=0, show_default=True)
+@click.option("--trials", default=FuzzConfig.trials, show_default=True)
+@click.option("--max-points", default=FuzzConfig.max_points, show_default=True)
+@click.option("--max-cycle", default=FuzzConfig.max_cycle, show_default=True)
+@click.option("--max-prefix", default=FuzzConfig.max_prefix, show_default=True)
+@click.option("--seed", default=FuzzConfig.seed, show_default=True)
 @click.option("--r-grid", "r_grid", default=None,
               help="Fixed degree grid; defaults to a per-trial adaptive grid.")
 def fuzz_cmd(trials: int, max_points: int, max_cycle: int, max_prefix: int, seed: int, r_grid: str):

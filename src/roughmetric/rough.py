@@ -24,11 +24,6 @@ class RoughLimitSet:
 
     r: float
     members: frozenset
-    sequence: EpSequence
-    space: ControlledSpace
-
-    def ordered(self) -> tuple:
-        return self.space.ordered(self.members)
 
 
 def is_rough_limit(seq: EpSequence, space: ControlledSpace, x, r: float) -> bool:
@@ -42,7 +37,7 @@ def rough_limit_set(seq: EpSequence, space: ControlledSpace, r: float) -> RoughL
     nonnegative(r, "roughness degree")
     hit = leq(limsup_vector(seq, space), r)
     members = frozenset(space.points[i] for i in np.flatnonzero(hit))
-    return RoughLimitSet(r=float(r), members=members, sequence=seq, space=space)
+    return RoughLimitSet(r=float(r), members=members)
 
 
 class CriticalRoughness(NamedTuple):

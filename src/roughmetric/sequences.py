@@ -50,14 +50,6 @@ class EpSequence:
         return frozenset(self.prefix) | frozenset(self.cycle)
 
 
-@dataclass(frozen=True)
-class BoundednessReport:
-    """A strict bound: d(x_n, x_m) < bound for all n, m."""
-
-    bounded: bool
-    bound: float
-
-
 def _require_points(seq: EpSequence, space: ControlledSpace) -> None:
     if not space.contains_all(seq.value_set):
         unknown = seq.value_set - frozenset(space.points)
@@ -104,14 +96,14 @@ def is_cauchy(seq: EpSequence, space: ControlledSpace) -> bool:
     return is_convergent(seq, space) is not None
 
 
-def boundedness(seq: EpSequence, space: ControlledSpace) -> BoundednessReport:
-    """A strict bound over all pairs of terms.
+def boundedness(seq: EpSequence, space: ControlledSpace) -> float:
+    """A strict bound B over all pairs of terms: d(x_n, x_m) < B for all n, m.
 
-    Always bounded here (finitely many values); the bound is the diameter of
-    the set of occurring values plus 1, keeping the inequality strict.
+    Always finite here (finitely many values): the diameter of the set of
+    occurring values plus 1, keeping the inequality strict.
     """
     _require_points(seq, space)
-    return BoundednessReport(bounded=True, bound=diameter(space, seq.value_set) + 1.0)
+    return diameter(space, seq.value_set) + 1.0
 
 
 def arithmetic_subsequence(seq: EpSequence, offset: int, stride: int) -> EpSequence:

@@ -14,14 +14,12 @@ immutable validated spaces, and provides ball / diameter / restriction queries.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
-from typing import Hashable, Iterable
+from typing import Iterable
 
 import numpy as np
-
-PointId = Hashable
 
 #: Absolute slack applied to inequality boundaries only: ``a <= b`` is tested
 #: as ``a <= b + TOLERANCE`` and ``a < b`` as ``a < b - TOLERANCE``.
@@ -369,15 +367,7 @@ def paper_example_spec(n: int) -> SpaceSpec:
     return SpaceSpec(points=tuple(range(1, n + 1)), dist=dist, alpha=alpha)
 
 
-@dataclass(frozen=True)
-class Ball:
-    center: PointId
-    radius: float
-    kind: str  # "open" | "closed"
-    members: frozenset = field(default_factory=frozenset)
-
-
-def ball(space: ControlledSpace, center, radius: float, kind: str = "open") -> Ball:
+def ball(space: ControlledSpace, center, radius: float, kind: str = "open") -> frozenset:
     """Members at distance < radius (open) or <= radius (closed) from center."""
     if kind not in ("open", "closed"):
         raise ValueError(f"kind must be 'open' or 'closed', got {kind!r}")
@@ -387,8 +377,7 @@ def ball(space: ControlledSpace, center, radius: float, kind: str = "open") -> B
         hit = leq(row, radius)
     else:
         hit = row < radius - TOLERANCE
-    members = frozenset(space.points[i] for i in np.flatnonzero(hit))
-    return Ball(center=center, radius=float(radius), kind=kind, members=members)
+    return frozenset(space.points[i] for i in np.flatnonzero(hit))
 
 
 def _farthest_pair(space: ControlledSpace, subset: Iterable) -> tuple[float, tuple | None]:

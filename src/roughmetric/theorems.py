@@ -73,7 +73,10 @@ def check_diameter_bound(space: ControlledSpace, seq: EpSequence, r: float) -> T
     diam, pair = _farthest_pair(space, members)
     bound = 2.0 * r * space.sup_alpha
     passed = leq(diam, bound)
-    witness = None if passed else {"pair": list(pair), "distance": diam, "bound": bound}
+    witness = None
+    if not passed:  # below two members there is no pair
+        witness = {"pair": list(pair)} if pair else {}
+        witness.update(distance=diam, bound=bound)
     details = {"diam": diam, "bound": bound, "limit_set_bounded": math.isfinite(diam)}
     if r > 0 and members:
         details["diam_ratio"] = diam / bound
@@ -90,10 +93,10 @@ def check_ball_sandwich(space: ControlledSpace, seq: EpSequence, r: float) -> Th
     if x is None:
         return _na(TheoremId.T_BALL_SANDWICH, params, "sequence is not convergent")
     rk = r * space.sup_alpha
-    inner = ball(space, x, r, "closed").members
+    inner = ball(space, x, r, "closed")
     lim_rk = rough_limit_set(seq, space, rk).members
     lim_r = rough_limit_set(seq, space, r).members
-    outer = ball(space, x, rk, "closed").members
+    outer = ball(space, x, rk, "closed")
     witness = None
     if not inner <= lim_rk:
         y = space.ordered(inner - lim_rk)[0]
@@ -142,18 +145,18 @@ def check_rough_implies_bounded(space: ControlledSpace, seq: EpSequence, r: floa
     params = {"space": space, "seq": seq, "r": r}
     if not rough_limit_set(seq, space, r).members:
         return _na(TheoremId.T_ROUGH_BOUNDED, params, "no rough limit of this degree")
-    report = boundedness(seq, space)
-    passed = report.bounded and math.isfinite(report.bound)
-    witness = None if passed else {"bound": report.bound}
+    bound = boundedness(seq, space)
+    passed = math.isfinite(bound)
+    witness = None if passed else {"bound": bound}
     return TheoremReport(TheoremId.T_ROUGH_BOUNDED, passed, True, params, witness,
-                         {"bound": report.bound})
+                         {"bound": bound})
 
 
 def check_bounded_implies_rough(space: ControlledSpace, seq: EpSequence) -> TheoremReport:
     """A bounded sequence rough-converges with degree 2 k B, B a strict bound;
     every value the sequence takes is a rough limit of that degree."""
     params = {"space": space, "seq": seq}
-    bound = boundedness(seq, space).bound
+    bound = boundedness(seq, space)
     degree = 2.0 * space.sup_alpha * bound
     witness = None
     for v in space.ordered(seq.value_set):
@@ -237,7 +240,7 @@ def check_cluster_ball(space: ControlledSpace, seq: EpSequence, r: float) -> The
     clusters = space.ordered(cluster_points(seq, space))
     witness = None
     for c in clusters:
-        inside = ball(space, c, rk, "closed").members
+        inside = ball(space, c, rk, "closed")
         if not lim_r <= inside:
             x = space.ordered(lim_r - inside)[0]
             witness = {"cluster_point": c, "point": x,
@@ -288,7 +291,7 @@ def run_all(space: ControlledSpace, seq: EpSequence, r_grid: Sequence[float],
     reports: list[TheoremReport] = []
     c0 = space.ordered(cluster_points(seq, space))[0]
     for r in r_grid:
-        members = rough_limit_set(seq, space, r).ordered()
+        members = space.ordered(rough_limit_set(seq, space, r).members)
         probe = EpSequence(prefix=members[1:2], cycle=members[:1]) if members else None
         base = {"space": space, "seq": seq, "r": r}
         special = {

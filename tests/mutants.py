@@ -61,7 +61,7 @@ MUTANTS = {
     "min-plus-block-start": Mutant(
         "spaces.py", "y0 = m_rows[s : s + step], rows[s] if",
         "y0 = m_rows[s : s + step], rows[s] + 1 if", SPACES),
-    # tolerances, indexing and ordering named by earlier mutation checks
+    # tolerances, indexing, ordering and witness shapes named by earlier mutation checks
     "leq-strict": Mutant(
         "spaces.py", "return a <= b + TOLERANCE", "return a < b + TOLERANCE", CHECKS),
     "ball-no-tolerance": Mutant(
@@ -72,6 +72,24 @@ MUTANTS = {
     "farthest-pair-unsorted": Mutant(
         "spaces.py", "idx = sorted(space.index(p) for p in set(subset))",
         "idx = list(space.index(p) for p in set(subset))", CHECKS),
+    "diameter-witness-no-pair": Mutant(
+        "theorems.py", '{"pair": list(pair)} if pair else {}', '{"pair": list(pair)}',
+        ("tests/test_theorems.py",)),
+    # the quantities the theorems scale by and the sets they compare
+    "sup-alpha-min": Mutant(
+        "spaces.py", "return float(self.alpha.max())", "return float(self.alpha.min())", SPACES),
+    "sup-alpha-one": Mutant(
+        "spaces.py", "return float(self.alpha.max())", "return 1.0", SPACES),
+    "boundedness-not-strict": Mutant(
+        "sequences.py", "diameter(space, seq.value_set) + 1.0", "diameter(space, seq.value_set)",
+        ("tests/test_sequences.py",)),
+    "subsequence-cycle-one": Mutant(
+        "sequences.py", "new_cycle_len = len(seq.cycle) // math.gcd(len(seq.cycle), stride)",
+        "new_cycle_len = 1", ("tests/test_sequences.py",)),
+    "open-ball-closed": Mutant(
+        "spaces.py", "hit = row < radius - TOLERANCE", "hit = leq(row, radius)", SPACES),
+    "critical-roughness-max": Mutant(
+        "rough.py", "r_star = limsups.min()", "r_star = limsups.max()", ("tests/test_rough.py",)),
     # guards on outside input, each reached by one test input
     "limsup-no-point-check": Mutant(
         "sequences.py", "    _require_points(seq, space)\n    return space.row_max",

@@ -2,8 +2,9 @@
 somewhere in it, and PyYAML is not loaded until a document is read or written.
 Also who reads the tolerance, ``spaces`` alone; who builds a ``Violation``: one
 function of ``spaces``; and who runs ``validate_axioms``: a space on
-construction, and the ``validate`` command; and who takes the min-plus product
-behind (d3): one blocked kernel, called by the validator and ``random_space``."""
+construction, and the ``validate`` command; who takes the min-plus product
+behind (d3): one blocked kernel, called by the validator and ``random_space``;
+and that no result type holds a space or a sequence, its caller's own inputs."""
 
 import ast
 import os
@@ -122,3 +123,24 @@ def test_one_kernel_takes_the_min_plus_product():
     assert sums == {}
     assert _loads_by_file("_min_plus") == {
         "spaces.py": ["validate_axioms"], "theorems.py": ["random_space"]}
+
+
+def _input_fields(tree: ast.Module) -> list[str]:
+    """``Class.field`` for each dataclass field annotated with a space or a sequence."""
+    def is_dataclass(dec):
+        return getattr(dec.func if isinstance(dec, ast.Call) else dec, "id", None) == "dataclass"
+
+    return [f"{node.name}.{item.target.id}" for node in ast.walk(tree)
+            if isinstance(node, ast.ClassDef) and any(map(is_dataclass, node.decorator_list))
+            for item in node.body if isinstance(item, ast.AnnAssign)
+            if {n.id for n in ast.walk(item.annotation) if isinstance(n, ast.Name)}
+            & {"ControlledSpace", "EpSequence"}]
+
+
+def test_no_result_holds_its_inputs():
+    # a result that held its space would pin the space's tables while it lives
+    assert _input_fields(ast.parse(
+        "@dataclass(frozen=True)\nclass R:\n    space: ControlledSpace\n")) == ["R.space"]
+    found = {path.name: fields for path in SOURCES
+             if (fields := _input_fields(ast.parse(path.read_text())))}
+    assert found == {}

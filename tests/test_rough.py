@@ -68,8 +68,7 @@ def test_infinite_degree_is_every_point(paper10, xi):
 def test_rough_limit_set_fields(paper4, xi):
     lim = rough_limit_set(xi, paper4, 1 / SQRT2)
     assert lim.r == 1 / SQRT2
-    assert lim.sequence is xi and lim.space is paper4
-    assert lim.ordered() == (2, 3)
+    assert lim.members == frozenset({2, 3})
 
 
 def test_set_matches_pointwise_membership(paper10, xi):

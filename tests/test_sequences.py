@@ -115,22 +115,20 @@ def test_convergent_implies_zero_limsup_and_cauchy(seq):
 # --- boundedness ---
 
 def test_boundedness_golden(paper4, xi):
-    report = boundedness(xi, paper4)
-    assert report.bounded
-    assert report.bound == 1 / SQRT2 + 1
-    assert boundedness(EpSequence(cycle=(3,)), paper4).bound == 1.0
-    assert boundedness(EpSequence(cycle=(2, 4)), paper4).bound == 2.0
+    assert boundedness(xi, paper4) == 1 / SQRT2 + 1
+    assert boundedness(EpSequence(cycle=(3,)), paper4) == 1.0
+    assert boundedness(EpSequence(cycle=(2, 4)), paper4) == 2.0
 
 
 def test_boundedness_counts_prefix_values(paper4):
     # prefix value 4 is 1 away from 3, farther than the cycle's own spread
     seq = EpSequence(prefix=(4,), cycle=(3,))
-    assert boundedness(seq, paper4).bound == 0.5 + 1
+    assert boundedness(seq, paper4) == 0.5 + 1
 
 
 @given(seq=sequences6)
 def test_bound_is_strict_over_all_pairs(seq):
-    assert strict_bound_ok(seq, PAPER6, boundedness(seq, PAPER6).bound)
+    assert strict_bound_ok(seq, PAPER6, boundedness(seq, PAPER6))
 
 
 def test_bound_is_max_pair_distance_plus_one():
@@ -140,7 +138,7 @@ def test_bound_is_max_pair_distance_plus_one():
             seq = random_sequence(rng, space.points, 3, 4)
             pairs = combinations(space.ordered(seq.value_set), 2)
             brute = max((space.distance(a, b) for a, b in pairs), default=0.0)
-            assert boundedness(seq, space).bound.hex() == (brute + 1.0).hex()
+            assert boundedness(seq, space).hex() == (brute + 1.0).hex()
 
 
 # --- arithmetic subsequences ---

@@ -734,22 +734,22 @@ def test_revalidation_is_idempotent():
 # --- balls ---
 
 def test_closed_ball_golden():
-    assert ball(PAPER6, 2, 0.8, "closed").members == {1, 2, 3, 5}
+    assert ball(PAPER6, 2, 0.8, "closed") == {1, 2, 3, 5}
 
 
 def test_ball_radius_zero():
-    assert ball(PAPER6, 3, 0.0, "open").members == set()
-    assert ball(PAPER6, 3, 0.0, "closed").members == {3}
+    assert ball(PAPER6, 3, 0.0, "open") == set()
+    assert ball(PAPER6, 3, 0.0, "closed") == {3}
 
 
 def test_ball_boundaries_take_the_tolerance(monkeypatch):
     # from point 1 of PAPER6, points 3 and 5 lie at distance 1 and the rest nearer
-    assert ball(PAPER6, 1, 1 - 5e-10, "closed").members == {1, 2, 3, 4, 5, 6}
-    assert ball(PAPER6, 1, 1 + 5e-10, "open").members == {1, 2, 4, 6}
+    assert ball(PAPER6, 1, 1 - 5e-10, "closed") == {1, 2, 3, 4, 5, 6}
+    assert ball(PAPER6, 1, 1 + 5e-10, "open") == {1, 2, 4, 6}
     monkeypatch.setattr(spaces, "TOLERANCE", 0.0)
-    assert ball(PAPER6, 1, 1.0, "closed").members == {1, 2, 3, 4, 5, 6}
-    assert ball(PAPER6, 1, 1.0, "open").members == {1, 2, 4, 6}
-    assert ball(PAPER6, 1, np.nextafter(1.0, 2.0), "open").members == {1, 2, 3, 4, 5, 6}
+    assert ball(PAPER6, 1, 1.0, "closed") == {1, 2, 3, 4, 5, 6}
+    assert ball(PAPER6, 1, 1.0, "open") == {1, 2, 4, 6}
+    assert ball(PAPER6, 1, np.nextafter(1.0, 2.0), "open") == {1, 2, 3, 4, 5, 6}
 
 
 def test_ball_errors():
@@ -764,9 +764,9 @@ def test_ball_errors():
 @given(r1=st.floats(0, 3), r2=st.floats(0, 3), center=st.sampled_from(PAPER6.points))
 def test_ball_monotonicity(r1, r2, center):
     lo, hi = min(r1, r2), max(r1, r2)
-    assert ball(PAPER6, center, lo, "open").members <= ball(PAPER6, center, hi, "open").members
-    assert ball(PAPER6, center, lo, "closed").members <= ball(PAPER6, center, hi, "closed").members
-    assert ball(PAPER6, center, hi, "open").members <= ball(PAPER6, center, hi, "closed").members
+    assert ball(PAPER6, center, lo, "open") <= ball(PAPER6, center, hi, "open")
+    assert ball(PAPER6, center, lo, "closed") <= ball(PAPER6, center, hi, "closed")
+    assert ball(PAPER6, center, hi, "open") <= ball(PAPER6, center, hi, "closed")
 
 
 # --- diameter ---

@@ -10,7 +10,6 @@ from click.testing import CliRunner
 from roughmetric import theorems
 from roughmetric.cli import main
 from roughmetric import (
-    BoundednessReport,
     EpSequence,
     FuzzConfig,
     RoughLimitSet,
@@ -187,11 +186,11 @@ def test_cluster_ball_check(paper4, xi):
 # --- faults injected below a check reach its witness ---
 
 def _everything(seq, space, r):
-    return RoughLimitSet(r, frozenset(space.points), seq, space)
+    return RoughLimitSet(r, frozenset(space.points))
 
 
 def _nothing(seq, space, r):
-    return RoughLimitSet(r, frozenset(), seq, space)
+    return RoughLimitSet(r, frozenset())
 
 
 def _every_point(space, subset):
@@ -199,7 +198,7 @@ def _every_point(space, subset):
 
 
 def _unbounded(seq, space):
-    return BoundednessReport(bounded=False, bound=math.inf)
+    return math.inf
 
 
 def _far(seq, space, x):
@@ -214,6 +213,10 @@ def _point_ball(space, center, radius, kind="open"):
     return ball(space, center, 0.0, kind)
 
 
+def _strict(a, b):
+    return a < b  # no tolerance: a bound met exactly fails
+
+
 def test_diameter_bound_failure_witness(monkeypatch, paper4):
     # the pair is the first farthest one in point order, whatever order the set gives
     flipped = build_space(SpaceSpec(paper4.points[::-1], paper4.dist[::-1, ::-1],
@@ -223,7 +226,7 @@ def test_diameter_bound_failure_witness(monkeypatch, paper4):
                                            (paper4, {4, 2, 3}, [2, 4], 1.0),
                                            (paper4, {4, 1}, [1, 4], 0.5)):
         monkeypatch.setattr(theorems, "rough_limit_set",
-                            lambda seq, sp, r: RoughLimitSet(r, frozenset(members), seq, sp))
+                            lambda seq, sp, r: RoughLimitSet(r, frozenset(members)))
         report = check_diameter_bound(space, EpSequence(cycle=(2,)), 0.1)
         assert (report.passed, report.applicable) == (False, True)
         assert report.witness == {"pair": pair, "distance": distance, "bound": 0.4}
@@ -252,6 +255,9 @@ P4 = "paper-example:4"
     (("rough_limit_set", _everything), check_diameter_bound, (EpSequence(cycle=(2, 3)), 0.2),
      {"pair": [1, 3], "distance": 1.0, "bound": 0.8}, P4, "2,3 0.2",
      "[FAIL] T_DIAM r=0.2  witness: {'pair': [1, 3], 'distance': 1.0, 'bound': 0.8}"),
+    (("leq", _strict), check_diameter_bound, (EpSequence(cycle=(2,)), 0.0),
+     {"distance": 0.0, "bound": 0.0}, P4, "2 0",
+     "[FAIL] T_DIAM r=0  witness: {'distance': 0.0, 'bound': 0.0}"),
     (("rough_limit_set", _nothing), check_ball_sandwich, (EpSequence(cycle=(2,)), R_CRIT),
      {"inclusion": "ball_into_limit_set", "point": 1, "distance_to_limit": R_CRIT,
       "limsup": R_CRIT, "degree": 2 * R_CRIT}, P4, "2 1",
@@ -292,9 +298,10 @@ P4 = "paper-example:4"
      {"cluster_point": 2, "point": 3, "distance": R_CRIT, "radius": 2 * R_CRIT}, P4, "2,3 1",
      "[FAIL] T_CLUSTER_BALL r=1  witness: {'cluster_point': 2, 'point': 1, "
      "'distance': 0.7071067811865475, 'radius': 2.0}"),
-], ids=["T_DIAM", "T_BALL_SANDWICH-ball_into_limit_set", "T_BALL_SANDWICH-limit_set_into_ball",
-        "T_DERIVED_SET", "T_DERIVED_SET-closed", "T_ROUGH_BOUNDED", "T_BOUNDED_ROUGH", "T_SUBSEQ",
-        "T_SHADOW", "T_LIMSET_SEQ", "T_CLUSTER_BALL"])
+], ids=["T_DIAM", "T_DIAM-one-point", "T_BALL_SANDWICH-ball_into_limit_set",
+        "T_BALL_SANDWICH-limit_set_into_ball", "T_DERIVED_SET", "T_DERIVED_SET-closed",
+        "T_ROUGH_BOUNDED", "T_BOUNDED_ROUGH", "T_SUBSEQ", "T_SHADOW", "T_LIMSET_SEQ",
+        "T_CLUSTER_BALL"])
 def test_injected_fault_fails_the_check_cleanly(monkeypatch, tmp_path, paper4, fault, check, args,
                                                 witness, source, cli, line):
     space = paper4
