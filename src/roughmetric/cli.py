@@ -250,15 +250,14 @@ def limset(space_source: str, seq_literal: str, r_value: str, fmt: str):
 
 
 def _report_line(report: TheoremReport) -> str:
-    status = "PASS" if report.passed and report.applicable else \
-             "n/a " if not report.applicable else "FAIL"
     r = report.params.get("r")
     where = f" r={format_real(r)}" if r is not None else ""
-    note = ""
-    if not report.applicable:
-        note = f"  ({report.details.get('reason', '')})"
-    elif not report.passed:
-        note = f"  witness: {report.witness}"
+    if not report.passed:  # fuzz's order: a witness is a failure even beside a reason
+        status, note = "FAIL", f"  witness: {report.witness}"
+    elif not report.applicable:
+        status, note = "n/a ", f"  ({report.reason})"
+    else:
+        status, note = "PASS", ""
     return f"[{status}] {report.theorem_id.value}{where}{note}"
 
 

@@ -44,22 +44,21 @@ class TheoremId(Enum):
 
 @dataclass(frozen=True)
 class TheoremReport:
+    """A check's verdict: a witness means a failure, else a reason means n/a, else a pass."""
+
     theorem_id: TheoremId
-    passed: bool
-    applicable: bool
     params: dict
     witness: Optional[dict] = None
     details: dict = field(default_factory=dict)
+    reason: Optional[str] = None  # why the theorem's hypotheses fail (vacuous pass)
 
+    @property
+    def passed(self) -> bool:
+        return self.witness is None
 
-def _na(theorem_id: TheoremId, params: dict, reason: str) -> TheoremReport:
-    return TheoremReport(
-        theorem_id=theorem_id,
-        passed=True,
-        applicable=False,
-        params=params,
-        details={"reason": reason},
-    )
+    @property
+    def applicable(self) -> bool:
+        return self.reason is None
 
 
 def check_diameter_bound(space: ControlledSpace, seq: EpSequence, r: float) -> TheoremReport:
@@ -72,15 +71,14 @@ def check_diameter_bound(space: ControlledSpace, seq: EpSequence, r: float) -> T
     members = rough_limit_set(seq, space, r).members
     diam, pair = _farthest_pair(space, members)
     bound = 2.0 * r * space.sup_alpha
-    passed = leq(diam, bound)
     witness = None
-    if not passed:  # below two members there is no pair
+    if not leq(diam, bound):  # below two members there is no pair
         witness = {"pair": list(pair)} if pair else {}
         witness.update(distance=diam, bound=bound)
     details = {"diam": diam, "bound": bound, "limit_set_bounded": math.isfinite(diam)}
     if r > 0 and members:
         details["diam_ratio"] = diam / bound
-    return TheoremReport(TheoremId.T_DIAM, passed, True, params, witness, details)
+    return TheoremReport(TheoremId.T_DIAM, params, witness, details)
 
 
 def check_ball_sandwich(space: ControlledSpace, seq: EpSequence, r: float) -> TheoremReport:
@@ -91,7 +89,7 @@ def check_ball_sandwich(space: ControlledSpace, seq: EpSequence, r: float) -> Th
     params = {"space": space, "seq": seq, "r": r}
     x = is_convergent(seq, space)
     if x is None:
-        return _na(TheoremId.T_BALL_SANDWICH, params, "sequence is not convergent")
+        return TheoremReport(TheoremId.T_BALL_SANDWICH, params, reason="sequence is not convergent")
     rk = r * space.sup_alpha
     inner = ball(space, x, r, "closed")
     lim_rk = rough_limit_set(seq, space, rk).members
@@ -107,10 +105,8 @@ def check_ball_sandwich(space: ControlledSpace, seq: EpSequence, r: float) -> Th
         z = space.ordered(lim_r - outer)[0]
         witness = {"inclusion": "limit_set_into_ball", "point": z,
                    "distance_to_limit": space.distance(x, z), "radius": rk}
-    return TheoremReport(
-        TheoremId.T_BALL_SANDWICH, witness is None, True, params, witness,
-        {"limit": x, "ball_radius": r, "outer_radius": rk},
-    )
+    return TheoremReport(TheoremId.T_BALL_SANDWICH, params, witness,
+                         {"limit": x, "ball_radius": r, "outer_radius": rk})
 
 
 def check_derived_set(space: ControlledSpace, seq: EpSequence, r: float) -> TheoremReport:
@@ -125,10 +121,9 @@ def check_derived_set(space: ControlledSpace, seq: EpSequence, r: float) -> Theo
     lim_r = rough_limit_set(seq, space, r).members
     derived = derived_set(space, lim_r)
     lim_rk = rough_limit_set(seq, space, r * space.sup_alpha).members
-    passed = derived <= lim_rk
     control_is_one = leq(space.sup_alpha, 1.0)
     witness = None
-    if not passed:
+    if not derived <= lim_rk:
         y = space.ordered(derived - lim_rk)[0]
         witness = {"point": y, "limsup": limsup_distance(seq, space, y), "degree": r * space.sup_alpha}
     elif control_is_one and not derived <= lim_r:
@@ -137,19 +132,17 @@ def check_derived_set(space: ControlledSpace, seq: EpSequence, r: float) -> Theo
                    "note": "limit set not closed despite control function 1"}
     details = {"derived_set_size": len(derived), "vacuous": not derived,
                "control_identically_one": control_is_one}
-    return TheoremReport(TheoremId.T_DERIVED_SET, witness is None, True, params, witness, details)
+    return TheoremReport(TheoremId.T_DERIVED_SET, params, witness, details)
 
 
 def check_rough_implies_bounded(space: ControlledSpace, seq: EpSequence, r: float) -> TheoremReport:
     """A sequence that rough-converges for degree r is bounded."""
     params = {"space": space, "seq": seq, "r": r}
     if not rough_limit_set(seq, space, r).members:
-        return _na(TheoremId.T_ROUGH_BOUNDED, params, "no rough limit of this degree")
+        return TheoremReport(TheoremId.T_ROUGH_BOUNDED, params, reason="no rough limit of this degree")
     bound = boundedness(seq, space)
-    passed = math.isfinite(bound)
-    witness = None if passed else {"bound": bound}
-    return TheoremReport(TheoremId.T_ROUGH_BOUNDED, passed, True, params, witness,
-                         {"bound": bound})
+    witness = None if math.isfinite(bound) else {"bound": bound}
+    return TheoremReport(TheoremId.T_ROUGH_BOUNDED, params, witness, {"bound": bound})
 
 
 def check_bounded_implies_rough(space: ControlledSpace, seq: EpSequence) -> TheoremReport:
@@ -164,8 +157,7 @@ def check_bounded_implies_rough(space: ControlledSpace, seq: EpSequence) -> Theo
         if not leq(ls, degree):
             witness = {"point": v, "limsup": ls, "degree": degree}
             break
-    return TheoremReport(TheoremId.T_BOUNDED_ROUGH, witness is None, True, params, witness,
-                         {"bound": bound, "degree": degree})
+    return TheoremReport(TheoremId.T_BOUNDED_ROUGH, params, witness, {"bound": bound, "degree": degree})
 
 
 def check_subsequence(space: ControlledSpace, seq: EpSequence, r: float,
@@ -180,7 +172,7 @@ def check_subsequence(space: ControlledSpace, seq: EpSequence, r: float,
         x = space.ordered(lim_full - lim_sub)[0]
         witness = {"point": x, "limsup_full": limsup_distance(seq, space, x),
                    "limsup_sub": limsup_distance(sub, space, x), "r": r}
-    return TheoremReport(TheoremId.T_SUBSEQ, witness is None, True, params, witness,
+    return TheoremReport(TheoremId.T_SUBSEQ, params, witness,
                          {"subsequence": {"prefix": list(sub.prefix), "cycle": list(sub.cycle)}})
 
 
@@ -191,22 +183,22 @@ def check_shadowing(space: ControlledSpace, seq_a: EpSequence, seq_b: EpSequence
     nonnegative(r, "roughness degree")
     params = {"space": space, "seq_a": seq_a, "seq_b": seq_b, "r": r}
     if r == 0:
-        return _na(TheoremId.T_SHADOW, params, "degree r = 0 is outside the theorem hypothesis r > 0")
+        return TheoremReport(TheoremId.T_SHADOW, params,
+                             reason="degree r = 0 is outside the theorem hypothesis r > 0")
     xi = is_convergent(seq_a, space)
     if xi is None:
-        return _na(TheoremId.T_SHADOW, params, "first sequence is not convergent")
+        return TheoremReport(TheoremId.T_SHADOW, params, reason="first sequence is not convergent")
     threshold = r / space.sup_alpha
     start = max(len(seq_a.prefix), len(seq_b.prefix))
     period = math.lcm(len(seq_a.cycle), len(seq_b.cycle))
     gaps = [space.distance(seq_a.term(i), seq_b.term(i))
             for i in range(start + 1, start + period + 1)]
     if not all(leq(g, threshold) for g in gaps):
-        return _na(TheoremId.T_SHADOW, params,
-                   f"termwise gap {max(gaps)!r} exceeds r/k = {threshold!r}")
+        return TheoremReport(TheoremId.T_SHADOW, params,
+                             reason=f"termwise gap {max(gaps)!r} exceeds r/k = {threshold!r}")
     ls = limsup_distance(seq_b, space, xi)
-    passed = leq(ls, r)
-    witness = None if passed else {"limit": xi, "limsup": ls, "r": r}
-    return TheoremReport(TheoremId.T_SHADOW, passed, True, params, witness,
+    witness = None if leq(ls, r) else {"limit": xi, "limsup": ls, "r": r}
+    return TheoremReport(TheoremId.T_SHADOW, params, witness,
                          {"limit": xi, "threshold": threshold, "max_gap": max(gaps)})
 
 
@@ -216,18 +208,18 @@ def check_limitset_sequence(space: ControlledSpace, seq: EpSequence, r: float,
     limit in the degree-(r k) rough limit set of the original sequence."""
     params = {"space": space, "seq": seq, "r": r, "probe": probe}
     if probe is None:
-        return _na(TheoremId.T_LIMSET_SEQ, params, "empty rough limit set admits no probe sequence")
+        return TheoremReport(TheoremId.T_LIMSET_SEQ, params,
+                             reason="empty rough limit set admits no probe sequence")
     lim_r = rough_limit_set(seq, space, r).members
     if not probe.value_set <= lim_r:
-        return _na(TheoremId.T_LIMSET_SEQ, params, "probe leaves the rough limit set")
+        return TheoremReport(TheoremId.T_LIMSET_SEQ, params, reason="probe leaves the rough limit set")
     xi = is_convergent(probe, space)
     if xi is None:
-        return _na(TheoremId.T_LIMSET_SEQ, params, "probe is not convergent")
+        return TheoremReport(TheoremId.T_LIMSET_SEQ, params, reason="probe is not convergent")
     degree = r * space.sup_alpha
     ls = limsup_distance(seq, space, xi)
-    passed = leq(ls, degree)
-    witness = None if passed else {"probe_limit": xi, "limsup": ls, "degree": degree}
-    return TheoremReport(TheoremId.T_LIMSET_SEQ, passed, True, params, witness,
+    witness = None if leq(ls, degree) else {"probe_limit": xi, "limsup": ls, "degree": degree}
+    return TheoremReport(TheoremId.T_LIMSET_SEQ, params, witness,
                          {"probe_limit": xi, "degree": degree})
 
 
@@ -246,7 +238,7 @@ def check_cluster_ball(space: ControlledSpace, seq: EpSequence, r: float) -> The
             witness = {"cluster_point": c, "point": x,
                        "distance": space.distance(c, x), "radius": rk}
             break
-    return TheoremReport(TheoremId.T_CLUSTER_BALL, witness is None, True, params, witness,
+    return TheoremReport(TheoremId.T_CLUSTER_BALL, params, witness,
                          {"cluster_points": list(clusters)})
 
 
@@ -391,12 +383,21 @@ def default_r_grid(space: ControlledSpace, seq: EpSequence) -> tuple[float, ...]
 @dataclass(frozen=True)
 class FuzzSummary:
     config: FuzzConfig
-    trials: int
-    checks_total: int
-    failures: int
-    per_theorem: dict
+    per_theorem: dict  # theorem id value -> {"pass", "not_applicable", "fail"} counts
     max_diam_ratio: Optional[float]
     witnesses: tuple
+
+    @property
+    def trials(self) -> int:
+        return self.config.trials
+
+    @property
+    def failures(self) -> int:
+        return len(self.witnesses)
+
+    @property
+    def checks_total(self) -> int:
+        return sum(sum(counts.values()) for counts in self.per_theorem.values())
 
 
 def fuzz(config: FuzzConfig) -> FuzzSummary:
@@ -406,9 +407,8 @@ def fuzz(config: FuzzConfig) -> FuzzSummary:
     do not depend on execution order) and runs :func:`run_all` on a fresh
     random space and sequence. Deterministic for a given config.
     """
-    per_theorem = {tid: {"pass": 0, "not_applicable": 0, "fail": 0} for tid in TheoremId}
+    per_theorem = {tid.value: {"pass": 0, "not_applicable": 0, "fail": 0} for tid in TheoremId}
     witnesses: list[dict] = []
-    checks_total = 0
     max_ratio: Optional[float] = None
     for trial in range(config.trials):
         # SeedSequence(seed).spawn(trials)[trial], without holding every child
@@ -419,8 +419,7 @@ def fuzz(config: FuzzConfig) -> FuzzSummary:
         stride = int(rng.integers(1, 5))
         grid = config.r_grid if config.r_grid is not None else default_r_grid(space, seq)
         for report in run_all(space, seq, grid, offset=offset, stride=stride):
-            checks_total += 1
-            bucket = per_theorem[report.theorem_id]
+            bucket = per_theorem[report.theorem_id.value]
             if not report.passed:
                 bucket["fail"] += 1
                 witnesses.append({
@@ -438,15 +437,7 @@ def fuzz(config: FuzzConfig) -> FuzzSummary:
             ratio = report.details.get("diam_ratio")
             if ratio is not None and (max_ratio is None or ratio > max_ratio):
                 max_ratio = ratio
-    return FuzzSummary(
-        config=config,
-        trials=config.trials,
-        checks_total=checks_total,
-        failures=len(witnesses),
-        per_theorem={tid.value: dict(counts) for tid, counts in per_theorem.items()},
-        max_diam_ratio=max_ratio,
-        witnesses=tuple(witnesses),
-    )
+    return FuzzSummary(config, per_theorem, max_ratio, tuple(witnesses))
 
 
 def render_summary(summary: FuzzSummary) -> str:

@@ -75,6 +75,19 @@ MUTANTS = {
     "diameter-witness-no-pair": Mutant(
         "theorems.py", '{"pair": list(pair)} if pair else {}', '{"pair": list(pair)}',
         ("tests/test_theorems.py",)),
+    "diameter-bound-no-k": Mutant(
+        "theorems.py", "bound = 2.0 * r * space.sup_alpha", "bound = 2.0 * r",
+        ("tests/test_tight_spaces.py",)),
+    # the verdicts a report and a fuzz summary derive from what they store
+    "report-passed-always": Mutant(
+        "theorems.py", "return self.witness is None", "return True", ("tests/test_theorems.py",)),
+    "report-applicable-always": Mutant(
+        "theorems.py", "return self.reason is None", "return True", ("tests/test_theorems.py",)),
+    "summary-failures-zero": Mutant(
+        "theorems.py", "return len(self.witnesses)", "return 0", ("tests/test_theorems.py",)),
+    "summary-checks-total-zero": Mutant(
+        "theorems.py", "return sum(sum(counts.values()) for counts in self.per_theorem.values())",
+        "return 0", ("tests/test_theorems.py",)),
     # the quantities the theorems scale by and the sets they compare
     "sup-alpha-min": Mutant(
         "spaces.py", "return float(self.alpha.max())", "return float(self.alpha.min())", SPACES),

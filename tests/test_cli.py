@@ -9,7 +9,7 @@ import yaml
 from click.testing import CliRunner
 
 import roughmetric
-from roughmetric import load_space, paper_example_spec, spaces
+from roughmetric import TheoremId, TheoremReport, load_space, paper_example_spec, spaces, theorems
 from roughmetric.cli import main
 
 BROKEN_DOC = """\
@@ -348,6 +348,19 @@ def test_theorems_all_pass():
     assert "0 failure(s)" in result.output
     assert "[PASS] T_DIAM" in result.output
     assert "[n/a ] T_BALL_SANDWICH" in result.output
+
+
+def test_theorems_reads_a_witness_before_a_reason(monkeypatch):
+    # fuzz counts such a report as a failure, so the line and the exit code do too
+    def both(space, seq, r):
+        return TheoremReport(TheoremId.T_BALL_SANDWICH, {"space": space, "seq": seq, "r": r},
+                             witness={"point": 1}, reason="sequence is not convergent")
+
+    monkeypatch.setattr(theorems, "check_ball_sandwich", both)
+    result = run("theorems", "paper-example:4", "--seq", "2,3", "--r-grid", "1")
+    assert result.exit_code == 1
+    assert "[FAIL] T_BALL_SANDWICH r=1  witness: {'point': 1}" in result.output.splitlines()
+    assert result.output.endswith("9 checks, 1 failure(s)\n")
 
 
 def test_theorems_explicit_grid_structured():

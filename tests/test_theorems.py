@@ -80,7 +80,7 @@ def test_ball_sandwich_eventually_constant(paper4):
 def test_ball_sandwich_not_applicable(paper4, xi):
     report = check_ball_sandwich(paper4, xi, R_CRIT)
     assert report.passed and not report.applicable
-    assert "not convergent" in report.details["reason"]
+    assert "not convergent" in report.reason
 
 
 def test_derived_set_check_records_vacuity(paper4, xi):
@@ -151,11 +151,11 @@ def test_shadowing_hypothesis_filters(paper4, xi):
     # constant at 2 vs constant at 4: gap 1 > r/k = 0.05
     far = check_shadowing(paper4, EpSequence(cycle=(2,)), EpSequence(cycle=(4,)), 0.1)
     assert not far.applicable
-    assert "exceeds" in far.details["reason"]
+    assert "exceeds" in far.reason
 
     zero = check_shadowing(paper4, xi, xi, 0.0)
     assert zero.passed and not zero.applicable
-    assert zero.details["reason"] == "degree r = 0 is outside the theorem hypothesis r > 0"
+    assert zero.reason == "degree r = 0 is outside the theorem hypothesis r > 0"
     with pytest.raises(ValueError):
         check_shadowing(paper4, xi, xi, -1.0)
 
@@ -171,7 +171,7 @@ def test_limitset_sequence_check(paper4, xi):
 
     wandering = check_limitset_sequence(paper4, xi, R_CRIT, EpSequence(cycle=(2, 3)))
     assert not wandering.applicable
-    assert "not convergent" in wandering.details["reason"]
+    assert "not convergent" in wandering.reason
 
 
 def test_cluster_ball_check(paper4, xi):
@@ -390,7 +390,7 @@ def test_rerun_keeps_the_hypothesis_guards(paper10, xi):
     assert guarded[TheoremId.T_LIMSET_SEQ].params["probe"] is None
     for rep in guarded.values():
         assert not rep.applicable
-        assert rerun(rep).details["reason"] == rep.details["reason"]
+        assert rerun(rep).reason == rep.reason
     shadow = guarded[TheoremId.T_SHADOW]
     assert check_shadowing(**shadow.params).details == shadow.details
     with pytest.raises(ValueError):
