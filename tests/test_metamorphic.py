@@ -70,6 +70,7 @@ def test_renaming_ids_in_order_renames_every_report(seed):
         assert (ren.passed, ren.applicable) == (rep.passed, rep.applicable)
         assert _rename(ren.witness, old) == rep.witness
         assert _rename(ren.details, old) == rep.details
+        assert ren.reason == rep.reason
 
 
 @settings(max_examples=100, deadline=None)

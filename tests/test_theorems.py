@@ -345,6 +345,7 @@ def test_rerun_reproduces_every_report(paper10, xi):
         assert (again.passed, again.applicable) == (report.passed, report.applicable)
         assert again.witness == report.witness
         assert again.details == report.details
+        assert again.reason == report.reason
 
 
 RUN_ALL_ORDER = [
@@ -410,8 +411,8 @@ def test_every_report_replays_through_its_own_check(seed):
     for rep in reports:
         direct = getattr(theorems, theorems._CHECKS[rep.theorem_id])(**rep.params)
         again = rerun(rep)
-        assert (direct.passed, direct.applicable, direct.witness, direct.details) == \
-            (again.passed, again.applicable, again.witness, again.details)
+        assert (direct.passed, direct.applicable, direct.witness, direct.details, direct.reason) == \
+            (again.passed, again.applicable, again.witness, again.details, again.reason)
 
 
 NAN = math.nan
