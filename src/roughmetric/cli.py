@@ -287,6 +287,7 @@ def theorems(space_source: str, seq_literal: str, r_grid: str, offset: int, stri
                  "passed": rep.passed,
                  "applicable": rep.applicable,
                  "witness": rep.witness,
+                 "reason": rep.reason,
                  }
                 for rep in reports
             ],

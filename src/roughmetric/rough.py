@@ -9,7 +9,6 @@ comparing the cycle-value distances against r.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -18,8 +17,7 @@ from .sequences import EpSequence, _require_points, limsup_vector
 from .spaces import ControlledSpace, leq, nonnegative
 
 
-@dataclass(frozen=True)
-class RoughLimitSet:
+class RoughLimitSet(NamedTuple):
     """All points to which the sequence rough-converges with degree r."""
 
     r: float

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -71,8 +71,7 @@ class InvalidSpaceError(ValueError):
         )
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     """One failed axiom instance: which axiom, where, and both sides."""
 
     axiom: str  # "d1" | "d2" | "d3" | "alpha"
@@ -81,8 +80,7 @@ class Violation:
     rhs: float
 
 
-@dataclass(frozen=True)
-class ValidationResult:
+class ValidationResult(NamedTuple):
     violations: tuple[Violation, ...] = ()
 
     @property

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass, field
 from enum import Enum
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -380,8 +380,7 @@ def default_r_grid(space: ControlledSpace, seq: EpSequence) -> tuple[float, ...]
     return tuple(sorted(set(grid)))
 
 
-@dataclass(frozen=True)
-class FuzzSummary:
+class FuzzSummary(NamedTuple):
     config: FuzzConfig
     per_theorem: dict  # theorem id value -> {"pass", "not_applicable", "fail"} counts
     max_diam_ratio: Optional[float]

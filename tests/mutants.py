@@ -72,6 +72,8 @@ MUTANTS = {
     "farthest-pair-unsorted": Mutant(
         "spaces.py", "idx = sorted(space.index(p) for p in set(subset))",
         "idx = list(space.index(p) for p in set(subset))", CHECKS),
+    "violation-fields-swapped": Mutant(
+        "spaces.py", "    lhs: float\n    rhs: float\n", "    rhs: float\n    lhs: float\n", SPACES),
     "diameter-witness-no-pair": Mutant(
         "theorems.py", '{"pair": list(pair)} if pair else {}', '{"pair": list(pair)}',
         ("tests/test_theorems.py",)),
@@ -127,6 +129,8 @@ MUTANTS = {
     "theorems-empty-grid": Mutant(
         "cli.py", "_r_values(r_grid) if r_grid is not None else list(",
         "_r_values(r_grid) if r_grid else list(", CLI),
+    "theorems-structured-no-reason": Mutant(
+        "cli.py", '                 "reason": rep.reason,\n', "", CLI),
     "fuzz-empty-grid": Mutant(
         "cli.py", "tuple(_r_values(r_grid)) if r_grid is not None",
         "tuple(_r_values(r_grid)) if r_grid", CLI),

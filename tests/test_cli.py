@@ -373,6 +373,17 @@ def test_theorems_explicit_grid_structured():
     assert doc["r_grid"][1] == 1 / math.sqrt(2)
 
 
+def test_theorems_structured_carries_the_reason_the_text_prints():
+    args = ("theorems", "paper-example:4", "--seq", "2,3", "--r-grid", "0")
+    lines = run(*args).output.splitlines()[:-1]
+    checks = yaml.safe_load(run(*args, "--format", "structured").output)["checks"]
+    printed = [line.partition("  (")[2][:-1] if line.startswith("[n/a ]") else None
+               for line in lines]
+    assert [c["reason"] for c in checks] == printed
+    assert [c["reason"] is None for c in checks] == [c["applicable"] for c in checks]
+    assert sum(reason is not None for reason in printed) == 4
+
+
 def test_theorems_bad_stride_is_usage_error():
     assert run("theorems", "paper-example:4", "--seq", "2,3", "--stride", "0").exit_code == 2
 

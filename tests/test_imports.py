@@ -4,7 +4,9 @@ Also who reads the tolerance, ``spaces`` alone; who builds a ``Violation``: one
 function of ``spaces``; and who runs ``validate_axioms``: a space on
 construction, and the ``validate`` command; who takes the min-plus product
 behind (d3): one blocked kernel, called by the validator and ``random_space``;
-and that no result type holds a space or a sequence, its caller's own inputs."""
+that no result type holds a space or a sequence, its caller's own inputs; and
+that a dataclass is kept for the types that validate, cache or need a default
+factory, every plain record being a named tuple."""
 
 import ast
 import os
@@ -125,13 +127,21 @@ def test_one_kernel_takes_the_min_plus_product():
         "spaces.py": ["validate_axioms"], "theorems.py": ["random_space"]}
 
 
-def _input_fields(tree: ast.Module) -> list[str]:
-    """``Class.field`` for each dataclass field annotated with a space or a sequence."""
-    def is_dataclass(dec):
-        return getattr(dec.func if isinstance(dec, ast.Call) else dec, "id", None) == "dataclass"
+def _is_dataclass(decorator: ast.expr) -> bool:
+    node = decorator.func if isinstance(decorator, ast.Call) else decorator
+    return getattr(node, "id", None) == "dataclass"
 
+
+def _is_named_tuple(node: ast.ClassDef) -> bool:
+    return any(getattr(base, "id", None) == "NamedTuple" for base in node.bases)
+
+
+def _input_fields(tree: ast.Module) -> list[str]:
+    """``Class.field`` for each dataclass or named-tuple field annotated with a space or
+    a sequence."""
     return [f"{node.name}.{item.target.id}" for node in ast.walk(tree)
-            if isinstance(node, ast.ClassDef) and any(map(is_dataclass, node.decorator_list))
+            if isinstance(node, ast.ClassDef)
+            and (any(map(_is_dataclass, node.decorator_list)) or _is_named_tuple(node))
             for item in node.body if isinstance(item, ast.AnnAssign)
             if {n.id for n in ast.walk(item.annotation) if isinstance(n, ast.Name)}
             & {"ControlledSpace", "EpSequence"}]
@@ -139,8 +149,28 @@ def _input_fields(tree: ast.Module) -> list[str]:
 
 def test_no_result_holds_its_inputs():
     # a result that held its space would pin the space's tables while it lives
-    assert _input_fields(ast.parse(
-        "@dataclass(frozen=True)\nclass R:\n    space: ControlledSpace\n")) == ["R.space"]
+    for record in ("@dataclass(frozen=True)\nclass R:", "class R(NamedTuple):"):
+        assert _input_fields(ast.parse(f"{record}\n    space: ControlledSpace\n")) == ["R.space"]
     found = {path.name: fields for path in SOURCES
              if (fields := _input_fields(ast.parse(path.read_text())))}
+    assert found == {}
+
+
+def _bare_dataclasses(tree: ast.Module) -> list[str]:
+    """Dataclasses that use none of what a named tuple lacks: ``__post_init__``,
+    ``cached_property`` or a ``default_factory``."""
+    def names(node):
+        for sub in ast.walk(node):
+            yield getattr(sub, "name", None) or getattr(sub, "id", None) or getattr(sub, "arg", None)
+
+    return [node.name for node in ast.walk(tree)
+            if isinstance(node, ast.ClassDef) and any(map(_is_dataclass, node.decorator_list))
+            and not {"__post_init__", "cached_property", "default_factory"} & set(names(node))]
+
+
+def test_plain_records_are_named_tuples():
+    assert _bare_dataclasses(ast.parse(
+        "@dataclass(frozen=True)\nclass R:\n    x: float\n")) == ["R"]
+    found = {path.name: names for path in SOURCES
+             if (names := _bare_dataclasses(ast.parse(path.read_text())))}
     assert found == {}
